@@ -188,13 +188,29 @@ def cmd_nogo(args) -> dict:
                     "equal_pair": nogo.EQUAL_PAIR_TOL}, started)
 
 
+def _read_instance(path: str, default_grid: int) -> tuple[int, int, int, int]:
+    """Parse a JSON instance spec {d, n, m, grid?} into integer sizes;
+    a malformed spec raises ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(
+            f"instance spec must be a JSON object {{d, n, m, grid}}, "
+            f"got {type(spec).__name__}")
+    missing = [key for key in ("d", "n", "m") if key not in spec]
+    if missing:
+        raise ValueError(f"instance spec lacks keys {missing}")
+    sizes = [spec["d"], spec["n"], spec["m"], spec.get("grid", default_grid)]
+    for key, value in zip(("d", "n", "m", "grid"), sizes):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"instance {key} = {value!r} is not an integer")
+    return tuple(sizes)
+
+
 def cmd_general(args) -> dict:
     started = time.perf_counter()
     if args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        d, n, m = int(spec["d"]), int(spec["n"]), int(spec["m"])
-        grid_points = int(spec.get("grid", args.grid))
+        d, n, m, grid_points = _read_instance(args.instance, args.grid)
     else:
         if args.d is None or args.n is None or args.m is None:
             raise ValueError("provide --d, --n and --m (or --instance)")
@@ -235,6 +251,17 @@ def cmd_general(args) -> dict:
                    started)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fidest",
@@ -256,19 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=cmd_witness)
 
     o = sub.add_parser("optimal-test", help="optimal invariant test")
-    o.add_argument("--grid", type=int, default=1000)
+    o.add_argument("--grid", type=_positive_int, default=1000)
     o.add_argument("--d", type=int, default=2)
     o.add_argument("--out", type=str, default=None,
                    help="write the optimal effect as matrix JSON")
     o.add_argument("--sweep", type=str, default=None,
                    help="write a coefficient-grid CSV to this path")
-    o.add_argument("--sweep-points", type=int, default=21)
+    o.add_argument("--sweep-points", type=_positive_int, default=21)
     o.set_defaults(func=cmd_optimal_test)
 
     g = sub.add_parser("nogo", help="violation certificates for test operators")
     g.add_argument("--test-file", type=str, default=None,
                    help="matrix JSON of the test operator")
-    g.add_argument("--random-family", type=int, default=None)
+    g.add_argument("--random-family", type=_positive_int, default=None)
     g.add_argument("--d", type=int, default=2)
     g.set_defaults(func=cmd_nogo)
 

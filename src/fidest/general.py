@@ -35,6 +35,21 @@ def target_distribution(m: int, gamma: float) -> np.ndarray:
                      for k in range(m + 1)])
 
 
+def _target_distributions(m: int, gammas: np.ndarray) -> np.ndarray:
+    """target_distribution at every angle of ``gammas``, one row each:
+    shape (G, m+1)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    g = np.asarray(gammas, dtype=float)
+    outside = g[(g < -1e-12) | (g > math.pi / 2 + 1e-12)]
+    if outside.size:
+        raise ValueError(f"angles {outside!r} outside [0, pi/2]")
+    c = (np.cos(g) ** 2)[:, None]
+    k = np.arange(m + 1)
+    comb = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float)
+    return comb * c ** k * (1.0 - c) ** (m - k)
+
+
 def canonical_pair(d: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic state pair with squared overlap cos^2(gamma)."""
     if d < 2:
@@ -141,6 +156,24 @@ def beta_polynomials(inst: GeneralInstance) -> np.ndarray:
     return coeffs
 
 
+def _block_weights(poly: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Block weights at every angle of ``gammas`` from the polynomials of
+    beta_polynomials: shape (G, n+1)."""
+    x = np.cos(np.asarray(gammas, dtype=float)) ** 2
+    return np.vander(x, poly.shape[1], increasing=True) @ poly.T
+
+
+def _l1_errors(alpha: np.ndarray, poly: np.ndarray, m: int,
+               gammas: np.ndarray, check: bool = False) -> np.ndarray:
+    """L1 distance between alpha . beta(gamma) and the binomial target at
+    every angle of ``gammas``; with ``check``, every achieved distribution
+    is validated by qcore.check_outcome_distribution."""
+    f = _block_weights(poly, gammas) @ alpha.T
+    if check:
+        qcore.check_outcome_distribution(f)
+    return np.abs(f - _target_distributions(m, gammas)).sum(axis=1)
+
+
 def beta_polynomial_fit(inst: GeneralInstance, l: int) -> np.ndarray:
     """Polynomial coefficients of block l in x = cos^2(gamma)."""
     if not 0 <= l <= inst.n:
@@ -151,21 +184,23 @@ def beta_polynomial_fit(inst: GeneralInstance, l: int) -> np.ndarray:
 def achieved_distribution(inst: GeneralInstance, coeffs: CoefficientMatrix,
                           gamma: float) -> np.ndarray:
     """Outcome-count distribution f = alpha . beta(gamma)."""
-    if (coeffs.m, coeffs.n) != (inst.m, inst.n):
-        raise ValueError(
-            f"coefficients are for (m={coeffs.m}, n={coeffs.n}), "
-            f"instance has (m={inst.m}, n={inst.n})")
+    _check_shape(inst, coeffs)
     f = coeffs.alpha @ beta_for_angle(inst.dec, inst.emb, gamma)
     return qcore.check_outcome_distribution(f)
 
 
+def _check_shape(inst: GeneralInstance, coeffs: CoefficientMatrix) -> None:
+    if (coeffs.m, coeffs.n) != (inst.m, inst.n):
+        raise ValueError(
+            f"coefficients are for (m={coeffs.m}, n={coeffs.n}), "
+            f"instance has (m={inst.m}, n={inst.n})")
+
+
 def error_profile(inst: GeneralInstance, coeffs: CoefficientMatrix) -> np.ndarray:
     """L1 distance to the binomial target at every grid angle."""
-    return np.array([
-        float(np.sum(np.abs(achieved_distribution(inst, coeffs, g)
-                            - target_distribution(inst.m, g))))
-        for g in inst.gamma_grid
-    ])
+    _check_shape(inst, coeffs)
+    return _l1_errors(coeffs.alpha, beta_polynomials(inst), inst.m,
+                      inst.gamma_grid, check=True)
 
 
 def objective(inst: GeneralInstance, coeffs: CoefficientMatrix) -> float:
@@ -193,65 +228,55 @@ def first_sample_marginal(coeffs: CoefficientMatrix) -> CoefficientMatrix:
 
 def _solve_on_grid(inst: GeneralInstance, grid: np.ndarray,
                    poly: np.ndarray) -> tuple[np.ndarray, float]:
-    """LP over the given angle grid; returns raw coefficients and optimum."""
+    """LP over the given angle grid; returns raw coefficients and optimum.
+
+    Variables are alpha[k, l] (flattened), one slack s[g, k] >= |f_k - p_k|
+    per angle and outcome, and the worst-case bound t >= sum_k s[g, k].
+    Every angle owns 2(m+1)+1 consecutive rows: +(f_k - p_k) <= s[g, k] and
+    -(f_k - p_k) <= s[g, k] for each k, then sum_k s[g, k] <= t.
+    """
     m, n = inst.m, inst.n
-    n_alpha = (m + 1) * (n + 1)
-    n_grid = grid.size
-    n_slack = (m + 1) * n_grid
-    n_var = n_alpha + n_slack + 1
+    n_out, n_blk, n_grid = m + 1, n + 1, grid.size
+    n_alpha = n_out * n_blk
+    n_var = n_alpha + n_out * n_grid + 1
     t_idx = n_var - 1
+    rows_per_angle = 2 * n_out + 1
 
-    x_grid = np.cos(grid) ** 2
-    beta_grid = np.vander(x_grid, n + 1, increasing=True) @ poly.T  # (G, n+1)
-    p_grid = np.array([target_distribution(m, g) for g in grid])    # (G, m+1)
+    beta_grid = _block_weights(poly, grid)          # (G, n+1)
+    p_grid = _target_distributions(m, grid)         # (G, m+1)
 
-    def alpha_idx(k, l):
-        return k * (n + 1) + l
-
-    def slack_idx(g, k):
-        return n_alpha + g * (m + 1) + k
-
-    rows, cols, vals = [], [], []
-    b_ub = []
-    row = 0
-    for g in range(n_grid):
-        for k in range(m + 1):
-            for sign in (1.0, -1.0):
-                for l in range(n + 1):
-                    rows.append(row)
-                    cols.append(alpha_idx(k, l))
-                    vals.append(sign * beta_grid[g, l])
-                rows.append(row)
-                cols.append(slack_idx(g, k))
-                vals.append(-1.0)
-                b_ub.append(sign * p_grid[g, k])
-                row += 1
-        for k in range(m + 1):
-            rows.append(row)
-            cols.append(slack_idx(g, k))
-            vals.append(1.0)
-        rows.append(row)
-        cols.append(t_idx)
-        vals.append(-1.0)
-        b_ub.append(0.0)
-        row += 1
+    # open index grids over (angle g, outcome k, sign 1 - 2s, block l)
+    g, k, s, l = np.ix_(np.arange(n_grid), np.arange(n_out), np.arange(2),
+                        np.arange(n_blk))
+    pm_row = g * rows_per_angle + 2 * k + s
+    bound_row = g[:, :, 0, 0] * rows_per_angle + 2 * n_out  # (G, 1)
+    slack = n_alpha + g * n_out + k
+    entries = [  # (rows, cols, vals), broadcast against each other
+        (pm_row, k * n_blk + l, (1 - 2 * s) * beta_grid[g, l]),
+        (pm_row, slack, -1.0),
+        (bound_row, slack[:, :, 0, 0], 1.0),
+        (bound_row[:, 0], t_idx, -1.0),
+    ]
+    parts = [np.broadcast_arrays(*e) for e in entries]
+    rows, cols, vals = (np.concatenate([part[i].ravel() for part in parts])
+                        for i in range(3))
+    b_ub = np.concatenate([(p_grid[:, :, None] * [1.0, -1.0]).reshape(n_grid, -1),
+                           np.zeros((n_grid, 1))], axis=1).ravel()
 
     from scipy.sparse import coo_matrix
-    a_ub = coo_matrix((vals, (rows, cols)), shape=(row, n_var))
+    a_ub = coo_matrix((vals, (rows, cols)),
+                      shape=(n_grid * rows_per_angle, n_var))
 
-    eq_rows, eq_cols, eq_vals = [], [], []
-    for l in range(n + 1):
-        for k in range(m + 1):
-            eq_rows.append(l)
-            eq_cols.append(alpha_idx(k, l))
-            eq_vals.append(1.0)
-    a_eq = coo_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n + 1, n_var))
-    b_eq = np.ones(n + 1)
+    # sum_k alpha[k, l] = 1 for every block l
+    eq_cols = (np.arange(n_out)[None, :] * n_blk + np.arange(n_blk)[:, None]).ravel()
+    a_eq = coo_matrix((np.ones(n_alpha), (np.repeat(np.arange(n_blk), n_out), eq_cols)),
+                      shape=(n_blk, n_var))
+    b_eq = np.ones(n_blk)
 
     c = np.zeros(n_var)
     c[t_idx] = 1.0
-    bounds = ([(0.0, 1.0)] * n_alpha + [(0.0, None)] * n_slack + [(0.0, None)])
-    res = linprog(c, A_ub=a_ub, b_ub=np.array(b_ub), A_eq=a_eq, b_eq=b_eq,
+    bounds = ([(0.0, 1.0)] * n_alpha + [(0.0, None)] * (n_var - n_alpha))
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"LP solve failed (status {res.status}): {res.message}")
@@ -269,16 +294,11 @@ def _continuous_worst_angle(inst: GeneralInstance, alpha: np.ndarray,
                             samples: int = 2049) -> tuple[float, float]:
     """Locate the continuous-angle maximizer of the L1 error by dense
     sampling followed by golden-section polish."""
-    m, n = inst.m, inst.n
-
     def err(gamma):
-        x = math.cos(gamma) ** 2
-        beta = np.array([sum(poly[l, j] * x ** j for j in range(n + 1))
-                         for l in range(n + 1)])
-        return float(np.sum(np.abs(alpha @ beta - target_distribution(m, gamma))))
+        return float(_l1_errors(alpha, poly, inst.m, np.array([gamma]))[0])
 
     gammas = np.linspace(0.0, math.pi / 2, samples)
-    values = np.array([err(g) for g in gammas])
+    values = _l1_errors(alpha, poly, inst.m, gammas)
     best = int(np.argmax(values))
     lo = gammas[max(best - 1, 0)]
     hi = gammas[min(best + 1, samples - 1)]
@@ -307,7 +327,8 @@ def solve_minimax(inst: GeneralInstance, refine_tol: float = 1e-4,
                   refine: bool = True) -> tuple[CoefficientMatrix, float]:
     """Minimize the worst-case L1 distance over strategies by LP on the angle
     grid, with cutting-plane refinement until the continuous worst case
-    exceeds the grid optimum by less than ``refine_tol``."""
+    exceeds the grid optimum by less than ``refine_tol``. The returned value
+    is the worst case of the sanitized strategy over the refined grid."""
     poly = beta_polynomials(inst)
     grid = np.asarray(inst.gamma_grid, dtype=float)
     alpha = None
@@ -328,6 +349,5 @@ def solve_minimax(inst: GeneralInstance, refine_tol: float = 1e-4,
             f"grid refinement did not converge within {max_rounds} rounds "
             f"(tolerance {refine_tol})")
     coeffs = CoefficientMatrix(m=inst.m, n=inst.n, alpha=_sanitize(alpha))
-    final = GeneralInstance(d=inst.d, n=inst.n, m=inst.m, dec=inst.dec,
-                            emb=inst.emb, gamma_grid=grid)
-    return coeffs, objective(final, coeffs)
+    profile = _l1_errors(coeffs.alpha, poly, inst.m, grid, check=True)
+    return coeffs, float(np.max(profile))

@@ -83,13 +83,15 @@ def check_effect(t, tol: float = ATOL_EIGENVALUE) -> np.ndarray:
 
 def check_outcome_distribution(p, tol_sum: float = ATOL_DIST_SUM,
                                tol_entry: float = ATOL_DIST_ENTRY) -> np.ndarray:
-    """Validate a probability vector (entries in [0,1], summing to 1)."""
+    """Validate a probability vector (entries in [0,1], summing to 1), or a
+    2-D stack of them, one per row."""
     a = np.asarray(p, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("expected a 1-D probability vector")
+    if a.ndim not in (1, 2) or a.size == 0:
+        raise ValueError("expected a 1-D probability vector or a 2-D stack")
     if float(a.min()) < -tol_entry or float(a.max()) > 1.0 + tol_entry:
         raise ValueError(f"probabilities out of range: {a!r}")
-    s = float(a.sum())
+    sums = np.atleast_1d(a.sum(axis=-1))
+    s = float(sums[np.argmax(np.abs(sums - 1.0))])
     if abs(s - 1.0) > tol_sum:
         raise ValueError(f"probabilities sum to {s!r}, expected 1")
     return a

@@ -173,6 +173,32 @@ class TestGeneralCommand:
         report = run_report(capsys, "general", "--instance", str(spec))
         assert abs(report["results"]["value_per_outcome"] - 1 / 3) < 1e-3
 
+    def run_instance(self, capsys, tmp_path, spec):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "general", "--instance", str(path))
+        assert code == 1
+        assert out == ""
+        assert "\n" not in err.strip()
+        return json.loads(err.strip())["error"]
+
+    def test_instance_missing_key(self, capsys, tmp_path):
+        error = self.run_instance(capsys, tmp_path, {"d": 2, "n": 1})
+        assert "'m'" in error
+
+    def test_instance_json_list(self, capsys, tmp_path):
+        error = self.run_instance(capsys, tmp_path, [2, 1, 1])
+        assert "JSON object" in error
+
+    @pytest.mark.parametrize("key,value", [
+        ("d", 2.5), ("d", "2"), ("n", None), ("m", True), ("m", [2]),
+        ("grid", None),
+    ])
+    def test_instance_non_integer(self, capsys, tmp_path, key, value):
+        spec = {"d": 2, "n": 1, "m": 1, key: value}
+        error = self.run_instance(capsys, tmp_path, spec)
+        assert f"instance {key} = {value!r} is not an integer" == error
+
     def test_unsupported_range(self, capsys):
         code, _, err = run_cli(capsys, "general", "--d", "4", "--n", "1",
                                "--m", "1")
@@ -186,6 +212,27 @@ class TestGeneralCommand:
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "general", "--d", "2")
         assert code == 1
+
+
+class TestSizeChecks:
+    @pytest.mark.parametrize("argv", [
+        ["nogo", "--random-family", "-3"],
+        ["nogo", "--random-family", "0"],
+        ["optimal-test", "--sweep-points", "0"],
+        ["optimal-test", "--grid", "0"],
+        ["optimal-test", "--grid", "-5"],
+        ["optimal-test", "--grid", "ten"],
+    ])
+    def test_non_positive_size_rejected(self, capsys, tmp_path, argv):
+        if argv[0] == "optimal-test":
+            argv = argv + ["--sweep", str(tmp_path / "sweep.csv")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code != 0
+        assert captured.out == ""
+        assert "positive integer" in captured.err or "not an integer" in captured.err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestReportShape:

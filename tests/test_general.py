@@ -192,6 +192,47 @@ class TestSolveMinimax:
             float(profile.max()), abs=1e-15)
 
 
+class TestBatchedEvaluation:
+    """The grid-wide evaluations agree with the per-angle definitions."""
+
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 1), (2, 2, 3), (2, 3, 4),
+                                       (3, 1, 2), (3, 2, 8), (2, 4, 2)])
+    def test_error_profile_matches_per_angle_sum(self, d, n, m):
+        inst = general.make_instance(d, n, m, grid_points=33)
+        rng = np.random.default_rng(100 * d + 10 * n + m)
+        for _ in range(3):
+            coeffs = random_coefficients(m, n, rng)
+            per_angle = np.array([
+                np.sum(np.abs(general.achieved_distribution(inst, coeffs, g)
+                              - general.target_distribution(m, g)))
+                for g in inst.gamma_grid])
+            profile = general.error_profile(inst, coeffs)
+            assert np.max(np.abs(profile - per_angle)) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_batched_target_matches_rows(self, m):
+        gammas = np.concatenate([np.linspace(0.0, math.pi / 2, 41), [0.123]])
+        batched = general._target_distributions(m, gammas)
+        assert batched.shape == (gammas.size, m + 1)
+        for row, g in zip(batched, gammas):
+            assert np.max(np.abs(row - general.target_distribution(m, g))) < 1e-15
+
+    def test_batched_target_rejects_angle_outside_range(self):
+        with pytest.raises(ValueError, match="outside"):
+            general._target_distributions(2, np.array([0.0, 2.0]))
+
+    @pytest.mark.parametrize("d,n,m,value", [
+        (2, 1, 1, 0.6666666666666667),
+        (2, 2, 2, 0.5471042754760884),
+        (2, 3, 8, 0.9235885721264826),
+        (3, 4, 4, 0.5479908323737882),
+    ])
+    def test_pinned_minimax_values(self, d, n, m, value):
+        inst = general.make_instance(d, n, m)
+        _, solved = general.solve_minimax(inst)
+        assert solved == pytest.approx(value, abs=1e-9)
+
+
 class TestBetaPolynomials:
     def test_single_copy_symmetric_block(self):
         inst = general.make_instance(2, 1, 1, grid_points=9)

@@ -188,6 +188,16 @@ class TestValidators:
         with pytest.raises(ValueError, match="sum"):
             qcore.check_outcome_distribution([0.5, 0.4])
 
+    def test_distribution_stack_checked_row_by_row(self):
+        good = np.array([[0.25, 0.75], [1.0, 0.0]])
+        assert np.array_equal(qcore.check_outcome_distribution(good), good)
+        with pytest.raises(ValueError, match="out of range"):
+            qcore.check_outcome_distribution([[0.5, 0.5], [1.1, -0.1]])
+        with pytest.raises(ValueError, match="sum to 0.9"):
+            qcore.check_outcome_distribution([[0.5, 0.5], [0.5, 0.4]])
+        with pytest.raises(ValueError, match="1-D"):
+            qcore.check_outcome_distribution(np.ones((1, 1, 1)))
+
 
 class TestMatrixJson:
     def test_round_trip_matrix(self):

@@ -2,7 +2,8 @@
 
 Every subcommand prints a single JSON report to stdout:
 {command, inputs, results, seed, tolerances, wall_time_ms}. Failures print a
-one-line JSON error object to stderr and exit nonzero. All randomness is
+one-line JSON error object to stderr and exit nonzero: 2 for a command line
+that argparse rejects, 1 for any other bad input. All randomness is
 controlled by --seed.
 """
 
@@ -10,59 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
-import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
 from . import approx, general, nogo, qcore, symmetry, witness
-
-
-def _cache_dir() -> Path:
-    env = os.environ.get("FIDELITY_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "fidest"
-
-
-def _cache_path(d: int, n: int) -> Path:
-    key = hashlib.sha256(f"isotypic:d={d}:n={n}".encode()).hexdigest()[:16]
-    return _cache_dir() / f"isotypic_{key}.json"
-
-
-def _load_cached_decomposition(d: int, n: int):
-    """Advisory cache: any mismatch or corruption falls back to recompute."""
-    path = _cache_path(d, n)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            dec = symmetry.decomposition_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
-        return None, False
-    if (dec.d, dec.n) != (d, n):
-        return None, False
-    expected_dims = tuple(symmetry.weyl_block_dimension(d, n, l)
-                          for l in range(n + 1))
-    if dec.dims != expected_dims:
-        return None, False
-    total = sum(dec.projectors)
-    if float(np.max(np.abs(total - np.eye(dec.space_dim)))) > 1e-8:
-        return None, False
-    return dec, True
-
-
-def _store_decomposition(dec) -> None:
-    path = _cache_path(dec.d, dec.n)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(symmetry.decomposition_to_json(dec), fh)
-    except OSError:
-        pass
 
 
 def _report(command: str, inputs: dict, results: dict, seed: int,
@@ -221,11 +177,7 @@ def cmd_general(args) -> dict:
             f"unsupported range: require 2 <= d <= {symmetry.MAX_LOCAL_DIM} "
             f"and 1 <= n <= {symmetry.MAX_COPIES}, got d={d}, n={n}")
 
-    dec, cache_hit = _load_cached_decomposition(d, n)
-    if dec is None:
-        dec = symmetry.isotypic_projectors(d, n)
-        _store_decomposition(dec)
-    inst = general.make_instance(d, n, m, grid_points=grid_points, dec=dec)
+    inst = general.make_instance(d, n, m, grid_points=grid_points)
     coeffs, value = general.solve_minimax(inst, refine_tol=args.refine_tol)
     profile = general.error_profile(inst, coeffs)
     if args.profile_out:
@@ -240,8 +192,7 @@ def cmd_general(args) -> dict:
         "value_l1": value,
         "value_per_outcome": value / 2,
         "coefficients": [[float(x) for x in row] for row in coeffs.alpha],
-        "block_dims": list(dec.dims),
-        "cache_hit": bool(cache_hit),
+        "block_dims": list(inst.dec.dims),
         "profile": [[float(g), float(e)]
                     for g, e in zip(inst.gamma_grid, profile)],
         "max_profile_error": float(np.max(profile)),
@@ -262,8 +213,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print usage text and exit."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fidest",
         description="Fidelity-estimation toolkit: witness negativity, "
                     "no-go certificates, the optimal universal test, and "
@@ -314,8 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 2
     try:
         report = args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

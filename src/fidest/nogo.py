@@ -15,13 +15,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import qcore
+from . import qcore, symmetry
 
 FORCED_RULE_TOL = 1e-9
 EQUAL_PAIR_TOL = 1e-6
 _SEARCH_DEVIATION = 1e-6
-_POLISH_STEPS = 20
-_POLISH_STEP_SIZE = 0.1
 _HAAR_CANDIDATES = 200
 
 
@@ -81,7 +79,7 @@ class ViolationCertificate:
 
 def vote_probability(rho, pi, tau, rule: DecisionRule) -> float:
     """Probability of voting 1: the four-term expansion over the product
-    measurement outcomes, cross-checked against its grouped form."""
+    measurement outcomes."""
     r = qcore.as_operator(rho)
     p = qcore.as_operator(pi)
     t = qcore.as_operator(tau)
@@ -95,21 +93,10 @@ def vote_probability(rho, pi, tau, rule: DecisionRule) -> float:
     def expect(op):
         return float(np.real(np.einsum("ij,ji->", r, op)))
 
-    four_term = (p11 * expect(np.kron(p, t))
-                 + p10 * expect(np.kron(p, eye - t))
-                 + p01 * expect(np.kron(eye - p, t))
-                 + p00 * expect(np.kron(eye - p, eye - t)))
-
-    rho1 = qcore.partial_trace(r, [d, d], 0)
-    rho2 = qcore.partial_trace(r, [d, d], 1)
-    grouped = ((p11 - p10 - p01 + p00) * expect(np.kron(p, t))
-               + (p10 - p00) * float(np.real(np.einsum("ij,ji->", rho1, p)))
-               + (p01 - p00) * float(np.real(np.einsum("ij,ji->", rho2, t)))
-               + p00)
-    if abs(four_term - grouped) > 1e-10:
-        raise RuntimeError(
-            f"expansion identity violated: {four_term!r} vs {grouped!r}")
-    return four_term
+    return (p11 * expect(np.kron(p, t))
+            + p10 * expect(np.kron(p, eye - t))
+            + p01 * expect(np.kron(eye - p, t))
+            + p00 * expect(np.kron(eye - p, eye - t)))
 
 
 def _probe_pairs(d: int):
@@ -178,58 +165,16 @@ def forcing_check(rule: DecisionRule, trials: int, seed,
         "tolerance too tight for this rule")
 
 
-def _equal_pair_minimum(t: np.ndarray, d: int, seed) -> tuple[float, np.ndarray]:
-    """Minimize <phi phi|T|phi phi> over pure phi: Haar candidates plus
-    greedy projected gradient refinement with numerical derivatives."""
-
-    def value(phi):
-        v = np.kron(phi, phi)
-        return float(np.real(v.conj() @ t @ v))
-
-    candidates = qcore.haar_random_states(d, _HAAR_CANDIDATES, seed)
-    kron_batch = np.einsum("si,sj->sij", candidates, candidates).reshape(-1, d * d)
-    vals = np.real(np.einsum("sa,ab,sb->s", kron_batch.conj(), t, kron_batch))
-    best_idx = int(np.argmin(vals))
-    best_phi = candidates[best_idx]
-    best_val = float(vals[best_idx])
-
-    h = 1e-6
-    step = _POLISH_STEP_SIZE
-    coords = np.concatenate([best_phi.real, best_phi.imag])
-    for _ in range(_POLISH_STEPS):
-        grad = np.zeros(2 * d)
-        for i in range(2 * d):
-            plus = coords.copy()
-            plus[i] += h
-            minus = coords.copy()
-            minus[i] -= h
-            fp = value(_coords_to_state(plus, d))
-            fm = value(_coords_to_state(minus, d))
-            grad[i] = (fp - fm) / (2 * h)
-        norm = float(np.linalg.norm(grad))
-        if norm < 1e-14:
-            break
-        trial = coords - step * grad / norm
-        trial_val = value(_coords_to_state(trial, d))
-        if trial_val < best_val:
-            coords = trial / np.linalg.norm(trial)
-            best_val = trial_val
-            best_phi = _coords_to_state(coords, d)
-        else:
-            step /= 2
-    return best_val, best_phi
-
-
-def _coords_to_state(coords: np.ndarray, d: int) -> np.ndarray:
-    v = coords[:d] + 1j * coords[d:]
-    return v / np.linalg.norm(v)
-
-
 def theorem_one_check(t, seed=0) -> ViolationCertificate:
     """Produce a violation certificate for any test operator on H (x) H.
 
-    Either some equal pair (phi, phi) scores below 1, or the test dominates
-    the symmetric projector and any orthogonal pair scores at least 1/2.
+    Since 0 <= I - T and the product vectors |phi phi> span the symmetric
+    subspace, every equal pair scores 1 exactly when the symmetric
+    compression g = ||P_sym (I - T) P_sym|| vanishes. If g <= EQUAL_PAIR_TOL,
+    the orthogonal pair (e0, e1) scores at least 1/2 - g/2 - sqrt(g).
+    Otherwise the Haar average of <phi phi|T|phi phi> is at most
+    1 - g / dim(H+), and the certificate is the equal pair on the
+    lowest-scoring Haar candidate.
     """
     a = qcore.check_effect(t)
     dim = a.shape[0]
@@ -239,25 +184,26 @@ def theorem_one_check(t, seed=0) -> ViolationCertificate:
     if d < 2:
         raise ValueError("need d >= 2 so that orthogonal state pairs exist")
 
-    min_val, min_phi = _equal_pair_minimum(a, d, seed)
-    if min_val < 1.0 - EQUAL_PAIR_TOL:
-        v = np.kron(min_phi, min_phi)
+    p_sym, _ = symmetry.sym_antisym_projectors(d)
+    gap = float(np.linalg.norm(p_sym - p_sym @ a @ p_sym, 2))
+    if gap <= EQUAL_PAIR_TOL:
+        e0 = np.zeros(d, dtype=complex)
+        e0[0] = 1.0
+        e1 = np.zeros(d, dtype=complex)
+        e1[1] = 1.0
+        v = np.kron(e0, e1)
         value = float(np.real(v.conj() @ a @ v))
-        return ViolationCertificate(kind="equal_pair_fails", pi=min_phi,
-                                    tau=min_phi, value=value, bound_violated=1.0)
+        return ViolationCertificate(kind="orthogonal_pair_fails", pi=e0,
+                                    tau=e1, value=value, bound_violated=0.0)
 
-    e0 = np.zeros(d, dtype=complex)
-    e0[0] = 1.0
-    e1 = np.zeros(d, dtype=complex)
-    e1[1] = 1.0
-    v = np.kron(e0, e1)
+    candidates = qcore.haar_random_states(d, _HAAR_CANDIDATES, seed)
+    kron_batch = np.einsum("si,sj->sij", candidates, candidates).reshape(-1, dim)
+    vals = np.real(np.einsum("sa,ab,sb->s", kron_batch.conj(), a, kron_batch))
+    phi = candidates[int(np.argmin(vals))]
+    v = np.kron(phi, phi)
     value = float(np.real(v.conj() @ a @ v))
-    if value <= 1e-9:
-        raise RuntimeError(
-            "no certificate found: equal pairs pass yet an orthogonal pair "
-            "scores ~0, which contradicts the no-go bound")
-    return ViolationCertificate(kind="orthogonal_pair_fails", pi=e0, tau=e1,
-                                value=value, bound_violated=0.0)
+    return ViolationCertificate(kind="equal_pair_fails", pi=phi, tau=phi,
+                                value=value, bound_violated=1.0)
 
 
 def certificate_to_json(cert: ViolationCertificate) -> dict:

@@ -287,35 +287,3 @@ def beta_coefficients(rho, dec: IsotypicDecomposition) -> np.ndarray:
     return np.array([float(np.real(np.einsum("ij,ji->", a, p)))
                      for p in dec.projectors])
 
-
-def decomposition_to_json(dec: IsotypicDecomposition) -> dict:
-    return {
-        "d": dec.d,
-        "n": dec.n,
-        "blocks": [
-            {"l": l, "dim": int(dec.dims[l]),
-             "projector": qcore.matrix_to_json(dec.projectors[l])}
-            for l in range(dec.n + 1)
-        ],
-    }
-
-
-def decomposition_from_json(obj) -> IsotypicDecomposition:
-    try:
-        d = int(obj["d"])
-        n = int(obj["n"])
-        blocks = obj["blocks"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed decomposition JSON: {exc}") from exc
-    if len(blocks) != n + 1:
-        raise ValueError(f"expected {n + 1} blocks, got {len(blocks)}")
-    projectors = [None] * (n + 1)
-    dims = [0] * (n + 1)
-    for block in blocks:
-        l = int(block["l"])
-        if not 0 <= l <= n or projectors[l] is not None:
-            raise ValueError(f"bad block label {l}")
-        projectors[l] = qcore.matrix_from_json(block["projector"])
-        dims[l] = int(block["dim"])
-    return IsotypicDecomposition(d=d, n=n, projectors=tuple(projectors),
-                                 dims=tuple(dims))

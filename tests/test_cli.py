@@ -12,11 +12,6 @@ SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.json").read_text())
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("FIDELITY_CACHE_DIR", str(tmp_path / "cache"))
-
-
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -145,15 +140,20 @@ class TestGeneralCommand:
         assert abs(res["value_per_outcome"] - 1 / 3) < 1e-3
         assert res["block_dims"] == [3, 1]
 
-    def test_cache_round_trip(self, capsys):
+    def test_deterministic(self, capsys):
         first = run_report(capsys, "general", "--d", "2", "--n", "2",
                            "--m", "1", "--grid", "65")
         second = run_report(capsys, "general", "--d", "2", "--n", "2",
                             "--m", "1", "--grid", "65")
-        assert first["results"]["cache_hit"] is False
-        assert second["results"]["cache_hit"] is True
         assert first["results"]["value_l1"] == second["results"]["value_l1"]
         assert first["results"]["coefficients"] == second["results"]["coefficients"]
+
+    def test_writes_only_the_profile(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        run_report(capsys, "general", "--d", "2", "--n", "2", "--m", "1",
+                   "--grid", "33", "--profile-out", "profile.csv")
+        assert [p.name for p in tmp_path.rglob("*")] == ["profile.csv"]
 
     def test_profile_csv(self, capsys, tmp_path):
         profile = tmp_path / "profile.csv"
@@ -214,6 +214,13 @@ class TestGeneralCommand:
         assert code == 1
 
 
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "\n" not in err.strip()
+    return json.loads(err.strip())["error"]
+
+
 class TestSizeChecks:
     @pytest.mark.parametrize("argv", [
         ["nogo", "--random-family", "-3"],
@@ -226,13 +233,23 @@ class TestSizeChecks:
     def test_non_positive_size_rejected(self, capsys, tmp_path, argv):
         if argv[0] == "optimal-test":
             argv = argv + ["--sweep", str(tmp_path / "sweep.csv")]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        captured = capsys.readouterr()
-        assert exc.value.code != 0
-        assert captured.out == ""
-        assert "positive integer" in captured.err or "not an integer" in captured.err
+        error = assert_usage_error(*run_cli(capsys, *argv))
+        assert "positive integer" in error or "not an integer" in error
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_missing_subcommand(self, capsys):
+        error = assert_usage_error(*run_cli(capsys))
+        assert "subcommand" in error
+
+    def test_unknown_flag(self, capsys):
+        error = assert_usage_error(*run_cli(capsys, "witness", "--bogus"))
+        assert "--bogus" in error
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["general", "--help"])
+        assert exc.value.code == 0
+        assert "--profile-out" in capsys.readouterr().out
 
 
 class TestReportShape:

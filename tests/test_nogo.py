@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fidest import nogo, qcore, symmetry
 from fidest.cli import random_test_family
@@ -9,6 +11,49 @@ def random_pure_pair(d, rng):
     pi = qcore.pure_state_projector(qcore.haar_random_state(d, rng))
     tau = qcore.pure_state_projector(qcore.haar_random_state(d, rng))
     return pi, tau
+
+
+def complex_matrices(rows, cols):
+    """Complex rows x cols matrices with entries in the unit square."""
+    return st.lists(st.floats(-1.0, 1.0), min_size=2 * rows * cols,
+                    max_size=2 * rows * cols).map(
+        lambda xs: (np.array(xs[::2]) + 1j * np.array(xs[1::2])).reshape(rows, cols))
+
+
+def pure_projectors(d):
+    return complex_matrices(d, 1).filter(
+        lambda v: np.linalg.norm(v) > 1e-3).map(
+        lambda v: qcore.pure_state_projector(v[:, 0] / np.linalg.norm(v)))
+
+
+@st.composite
+def vote_inputs(draw):
+    """(rho, pi, tau, rule) with rho of any rank on C^d (x) C^d: rank 1 gives
+    an entangled pure state in general, higher ranks a mixed one."""
+    d = draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(1, d * d))
+    m = draw(complex_matrices(d * d, rank).filter(
+        lambda m: np.linalg.norm(m) > 1e-3))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    rule = nogo.DecisionRule(*draw(st.lists(st.floats(0.0, 1.0),
+                                            min_size=4, max_size=4)))
+    return rho, draw(pure_projectors(d)), draw(pure_projectors(d)), rule
+
+
+@st.composite
+def effects(draw):
+    """Random effects 0 <= T <= I on C^d (x) C^d, half of them dominating
+    P_sym (every equal pair scores exactly 1)."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    u, _ = np.linalg.qr(draw(complex_matrices(d * d, d * d)))
+    spectrum = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d * d,
+                                      max_size=d * d)))
+    t = (u * spectrum) @ u.conj().T
+    if draw(st.booleans()):
+        p_sym, p_anti = symmetry.sym_antisym_projectors(d)
+        t = p_sym + p_anti @ t @ p_anti
+    return (t + t.conj().T) / 2
 
 
 class TestDecisionRule:
@@ -43,14 +88,22 @@ class TestVoteProbability:
         rule = nogo.DecisionRule(0.0, 0.0, 0.0, 0.0)
         assert nogo.vote_probability(rho, pi, tau, rule) == pytest.approx(0.0, abs=1e-10)
 
-    def test_grouped_form_identity_incl_entangled(self):
-        # the four-term expansion cross-checks its grouped form internally
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            pi, tau = random_pure_pair(2, rng)
-            rho = qcore.pure_state_projector(qcore.haar_random_state(4, rng))
-            rule = nogo.DecisionRule(*rng.uniform(size=4))
-            nogo.vote_probability(rho, pi, tau, rule)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vote_inputs())
+    def test_grouped_form_identity_incl_entangled(self, inputs):
+        rho, pi, tau, rule = inputs
+        d = pi.shape[0]
+        p11, p10, p01, p00 = rule.as_tuple()
+
+        def expect(a, op):
+            return float(np.real(np.trace(a @ op)))
+
+        grouped = ((p11 - p10 - p01 + p00) * expect(rho, np.kron(pi, tau))
+                   + (p10 - p00) * expect(qcore.partial_trace(rho, [d, d], 0), pi)
+                   + (p01 - p00) * expect(qcore.partial_trace(rho, [d, d], 1), tau)
+                   + p00)
+        got = nogo.vote_probability(rho, pi, tau, rule)
+        assert abs(got - grouped) <= 1e-10
 
     def test_affine_in_each_coordinate(self):
         rng = np.random.default_rng(4)
@@ -141,6 +194,51 @@ class TestTheoremOneCheck:
             else:
                 assert cert.kind == "equal_pair_fails"
                 assert cert.value < 1.0 - 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 2e-6, 5e-7, 1e-8])
+    def test_kind_switches_at_tolerance(self, d, eps):
+        p_sym, p_anti = symmetry.sym_antisym_projectors(d)
+        t = (1 - eps) * p_sym + 0.3 * p_anti
+        cert = nogo.theorem_one_check(t, seed=1)
+        assert cert.verify(t)
+        if eps > nogo.EQUAL_PAIR_TOL:
+            assert cert.kind == "equal_pair_fails"
+            assert cert.value == pytest.approx(1 - eps, abs=1e-12)
+        else:
+            assert cert.kind == "orthogonal_pair_fails"
+            assert cert.value == pytest.approx((1 - eps + 0.3) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_local_dip_just_above_tolerance(self, d):
+        eps = 2 * nogo.EQUAL_PAIR_TOL
+        psi = qcore.haar_random_state(d, np.random.default_rng(d))
+        v = np.kron(psi, psi)
+        t = np.eye(d * d) - eps * np.outer(v, v.conj())
+        cert = nogo.theorem_one_check(t, seed=d)
+        assert cert.kind == "equal_pair_fails"
+        assert cert.verify(t)
+        assert 1 - eps <= cert.value < 1 - 1e-9
+
+    def test_deficit_outside_symmetric_subspace(self):
+        # ||(I - T) P_sym|| = 2e-6 exceeds the tolerance, but every equal pair
+        # scores above 1 - 4e-12, so only the orthogonal pair can certify
+        c = 2e-6
+        e = np.eye(2)
+        sym = (np.kron(e[0], e[1]) + np.kron(e[1], e[0])) / np.sqrt(2)
+        anti = (np.kron(e[0], e[1]) - np.kron(e[1], e[0])) / np.sqrt(2)
+        w = c * sym + np.sqrt(1 - c ** 2) * anti
+        t = np.eye(4) - np.outer(w, w)
+        p_sym, _ = symmetry.sym_antisym_projectors(2)
+        assert np.linalg.norm((np.eye(4) - t) @ p_sym, 2) > nogo.EQUAL_PAIR_TOL
+        cert = nogo.theorem_one_check(t)
+        assert cert.kind == "orthogonal_pair_fails"
+        assert cert.verify(t)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(effects(), st.integers(0, 2 ** 32 - 1))
+    def test_random_effects_always_certified(self, t, seed):
+        assert nogo.theorem_one_check(t, seed=seed).verify(t)
 
     def test_rejects_invalid_operator(self):
         with pytest.raises(ValueError, match="spectrum"):

@@ -287,17 +287,3 @@ class TestBetaCoefficients:
             powers = x ** np.arange(2 * n + 1)
             assert np.max(np.abs(powers @ coeffs - beta_of_x(x))) < 1e-8
 
-
-class TestDecompositionJson:
-    def test_round_trip(self):
-        dec = symmetry.isotypic_projectors(2, 2)
-        back = symmetry.decomposition_from_json(symmetry.decomposition_to_json(dec))
-        assert (back.d, back.n, back.dims) == (dec.d, dec.n, dec.dims)
-        for a, b in zip(back.projectors, dec.projectors):
-            assert np.array_equal(a, b)
-
-    def test_rejects_missing_block(self):
-        obj = symmetry.decomposition_to_json(symmetry.isotypic_projectors(2, 1))
-        obj["blocks"] = obj["blocks"][:1]
-        with pytest.raises(ValueError, match="blocks"):
-            symmetry.decomposition_from_json(obj)

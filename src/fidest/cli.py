@@ -29,7 +29,7 @@ def _report(command: str, inputs: dict, results: dict, seed: int,
         "results": results,
         "seed": seed,
         "tolerances": tolerances,
-        "wall_time_ms": int((time.perf_counter() - started) * 1000),
+        "wall_time_ms": (time.perf_counter() - started) * 1000,
     }
 
 
@@ -213,6 +213,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
+    return value
+
+
 class _UsageError(Exception):
     """A command line that argparse rejects."""
 
@@ -266,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--n", type=int, default=None)
     a.add_argument("--m", type=int, default=None)
     a.add_argument("--grid", type=int, default=129)
-    a.add_argument("--refine-tol", type=float, default=1e-4)
+    a.add_argument("--refine-tol", type=_positive_float, default=1e-4)
     a.add_argument("--profile-out", type=str, default=None,
                    help="write the per-angle L1 error profile CSV")
     a.add_argument("--instance", type=str, default=None,

@@ -96,13 +96,15 @@ class CoefficientMatrix:
 @dataclass(frozen=True)
 class GeneralInstance:
     """Problem instance: d-level systems, n copies per state, m samples,
-    isotypic data, and the angle grid used for optimization."""
+    isotypic data, the angle grid used for optimization, and the block-weight
+    polynomials (see beta_polynomials)."""
     d: int
     n: int
     m: int
     dec: symmetry.IsotypicDecomposition
     emb: symmetry.SymmetricEmbedding
     gamma_grid: np.ndarray
+    poly: np.ndarray
 
     def __post_init__(self):
         g = np.asarray(self.gamma_grid, dtype=float)
@@ -114,6 +116,7 @@ class GeneralInstance:
             raise ValueError("gamma_grid must include the endpoints 0 and pi/2")
         object.__setattr__(self, "gamma_grid", g)
         g.setflags(write=False)
+        self.poly.setflags(write=False)
 
 
 def make_instance(d: int, n: int, m: int, grid_points: int = 129,
@@ -131,29 +134,37 @@ def make_instance(d: int, n: int, m: int, grid_points: int = 129,
             raise ValueError("grid_points must be >= 2")
         gamma_grid = np.linspace(0.0, math.pi / 2, grid_points)
     return GeneralInstance(d=d, n=n, m=m, dec=dec, emb=emb,
-                           gamma_grid=np.asarray(gamma_grid, dtype=float))
+                           gamma_grid=np.asarray(gamma_grid, dtype=float),
+                           poly=_fit_block_weights(dec, emb))
 
 
-def beta_polynomials(inst: GeneralInstance) -> np.ndarray:
-    """Coefficients (ascending powers of x = cos^2 gamma) of every block
-    weight, fitted through n+1 angles and validated on held-out angles."""
-    n = inst.n
+def _fit_block_weights(dec: symmetry.IsotypicDecomposition,
+                       emb: symmetry.SymmetricEmbedding) -> np.ndarray:
+    """Fit every block weight as a degree-n polynomial in x = cos^2 gamma
+    through n+1 angles and validate it on held-out angles."""
+    n = dec.n
+
+    def weights(xs):
+        return np.array([beta_for_angle(dec, emb, math.acos(math.sqrt(x)))
+                         for x in xs])
+
     nodes_x = np.linspace(0.0, 1.0, n + 1)
     vander = np.vander(nodes_x, n + 1, increasing=True)
-    samples = np.array([beta_for_angle(inst.dec, inst.emb, math.acos(math.sqrt(x)))
-                        for x in nodes_x])
-    coeffs = np.linalg.solve(vander, samples).T  # rows indexed by l
+    coeffs = np.linalg.solve(vander, weights(nodes_x)).T  # rows indexed by l
     held_x = (np.arange(_HELD_OUT_ANGLES) + 0.5) / _HELD_OUT_ANGLES
-    held_vander = np.vander(held_x, n + 1, increasing=True)
-    predicted = held_vander @ coeffs.T
-    actual = np.array([beta_for_angle(inst.dec, inst.emb, math.acos(math.sqrt(x)))
-                       for x in held_x])
-    residual = float(np.max(np.abs(predicted - actual)))
+    predicted = np.vander(held_x, n + 1, increasing=True) @ coeffs.T
+    residual = float(np.max(np.abs(predicted - weights(held_x))))
     if residual > _POLY_FIT_TOL:
         raise RuntimeError(
             f"block weights are not degree-{n} polynomials in cos^2(gamma) "
             f"(residual {residual!r}); isotypic construction is suspect")
     return coeffs
+
+
+def beta_polynomials(inst: GeneralInstance) -> np.ndarray:
+    """Coefficients (ascending powers of x = cos^2 gamma) of every block
+    weight, one row per block; fitted and validated once by make_instance."""
+    return inst.poly
 
 
 def _block_weights(poly: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -230,38 +241,38 @@ def _solve_on_grid(inst: GeneralInstance, grid: np.ndarray,
                    poly: np.ndarray) -> tuple[np.ndarray, float]:
     """LP over the given angle grid; returns raw coefficients and optimum.
 
-    Variables are alpha[k, l] (flattened), one slack s[g, k] >= |f_k - p_k|
-    per angle and outcome, and the worst-case bound t >= sum_k s[g, k].
-    Every angle owns 2(m+1)+1 consecutive rows: +(f_k - p_k) <= s[g, k] and
-    -(f_k - p_k) <= s[g, k] for each k, then sum_k s[g, k] <= t.
+    Variables are alpha[k, l] (flattened), one slack s[g, k] >= 0 per angle
+    and outcome, and the worst-case bound t. Every column of alpha and the
+    block weights sum to 1, so f and p both sum to 1 and
+    ||f - p||_1 = 2 sum_k (f_k - p_k)^+: one-sided slacks suffice. Every
+    angle owns m+2 consecutive rows: f_k - p_k <= s[g, k] for each k, then
+    2 sum_k s[g, k] <= t.
     """
     m, n = inst.m, inst.n
     n_out, n_blk, n_grid = m + 1, n + 1, grid.size
     n_alpha = n_out * n_blk
     n_var = n_alpha + n_out * n_grid + 1
     t_idx = n_var - 1
-    rows_per_angle = 2 * n_out + 1
+    rows_per_angle = n_out + 1
 
     beta_grid = _block_weights(poly, grid)          # (G, n+1)
     p_grid = _target_distributions(m, grid)         # (G, m+1)
 
-    # open index grids over (angle g, outcome k, sign 1 - 2s, block l)
-    g, k, s, l = np.ix_(np.arange(n_grid), np.arange(n_out), np.arange(2),
-                        np.arange(n_blk))
-    pm_row = g * rows_per_angle + 2 * k + s
-    bound_row = g[:, :, 0, 0] * rows_per_angle + 2 * n_out  # (G, 1)
-    slack = n_alpha + g * n_out + k
+    # open index grids over (angle g, outcome k, block l)
+    g, k, l = np.ix_(np.arange(n_grid), np.arange(n_out), np.arange(n_blk))
+    out_row = g * rows_per_angle + k                   # (G, m+1, 1)
+    slack = (n_alpha + g * n_out + k)[:, :, 0]         # (G, m+1)
+    bound_row = g[:, :, 0] * rows_per_angle + n_out    # (G, 1)
     entries = [  # (rows, cols, vals), broadcast against each other
-        (pm_row, k * n_blk + l, (1 - 2 * s) * beta_grid[g, l]),
-        (pm_row, slack, -1.0),
-        (bound_row, slack[:, :, 0, 0], 1.0),
+        (out_row, k * n_blk + l, beta_grid[g, l]),
+        (out_row[:, :, 0], slack, -1.0),
+        (bound_row, slack, 2.0),
         (bound_row[:, 0], t_idx, -1.0),
     ]
     parts = [np.broadcast_arrays(*e) for e in entries]
     rows, cols, vals = (np.concatenate([part[i].ravel() for part in parts])
                         for i in range(3))
-    b_ub = np.concatenate([(p_grid[:, :, None] * [1.0, -1.0]).reshape(n_grid, -1),
-                           np.zeros((n_grid, 1))], axis=1).ravel()
+    b_ub = np.concatenate([p_grid, np.zeros((n_grid, 1))], axis=1).ravel()
 
     from scipy.sparse import coo_matrix
     a_ub = coo_matrix((vals, (rows, cols)),
@@ -289,37 +300,42 @@ def _sanitize(alpha: np.ndarray) -> np.ndarray:
     return a / a.sum(axis=0, keepdims=True)
 
 
-def _continuous_worst_angle(inst: GeneralInstance, alpha: np.ndarray,
-                            poly: np.ndarray,
-                            samples: int = 2049) -> tuple[float, float]:
-    """Locate the continuous-angle maximizer of the L1 error by dense
-    sampling followed by golden-section polish."""
-    def err(gamma):
-        return float(_l1_errors(alpha, poly, inst.m, np.array([gamma]))[0])
+def _violated_angles(inst: GeneralInstance, alpha: np.ndarray,
+                     poly: np.ndarray, threshold: float,
+                     samples: int = 2049) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous-angle local maximizers of the L1 error: every local maximum
+    of a dense sample scan above ``threshold``, and the global one, polished
+    together by golden-section search on their brackets. Returns the angles
+    and their errors."""
+    def err(gammas):
+        return _l1_errors(alpha, poly, inst.m, gammas)
 
     gammas = np.linspace(0.0, math.pi / 2, samples)
-    values = _l1_errors(alpha, poly, inst.m, gammas)
-    best = int(np.argmax(values))
-    lo = gammas[max(best - 1, 0)]
-    hi = gammas[min(best + 1, samples - 1)]
+    values = err(gammas)
+    padded = np.concatenate([[-math.inf], values, [-math.inf]])
+    peak = (values >= padded[:-2]) & (values > padded[2:]) & (values > threshold)
+    peak[int(np.argmax(values))] = True
+    idx = np.flatnonzero(peak)
+    lo = gammas[np.maximum(idx - 1, 0)]
+    hi = gammas[np.minimum(idx + 1, samples - 1)]
     inv_phi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = err(x1), err(x2)
-    while b - a > 1e-12:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = err(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = err(x2)
-    mid = (a + b) / 2
-    candidates = [(err(g), g) for g in (lo, mid, hi, gammas[best])]
-    val, gam = max(candidates)
-    return gam, val
+    while np.max(b - a) > 1e-12:
+        left = f1 >= f2  # the maximum lies in [a, x2]
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        x1, x2 = (np.where(left, b - inv_phi * (b - a), x2),
+                  np.where(left, x1, a + inv_phi * (b - a)))
+        f_new = err(np.where(left, x1, x2))
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    candidates = np.stack([lo, (a + b) / 2, hi, gammas[idx]])
+    scores = err(candidates.ravel()).reshape(candidates.shape)
+    best = np.argmax(scores, axis=0)
+    cols = np.arange(idx.size)
+    return candidates[best, cols], scores[best, cols]
 
 
 def solve_minimax(inst: GeneralInstance, refine_tol: float = 1e-4,
@@ -329,6 +345,8 @@ def solve_minimax(inst: GeneralInstance, refine_tol: float = 1e-4,
     grid, with cutting-plane refinement until the continuous worst case
     exceeds the grid optimum by less than ``refine_tol``. The returned value
     is the worst case of the sanitized strategy over the refined grid."""
+    if not (math.isfinite(refine_tol) and refine_tol > 0):
+        raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
     poly = beta_polynomials(inst)
     grid = np.asarray(inst.gamma_grid, dtype=float)
     alpha = None
@@ -339,11 +357,11 @@ def solve_minimax(inst: GeneralInstance, refine_tol: float = 1e-4,
         alpha, t = _solve_on_grid(inst, grid, poly)
         if not refine:
             break
-        gamma_star, worst = _continuous_worst_angle(inst, alpha, poly)
-        if worst <= t + refine_tol:
+        angles, errors = _violated_angles(inst, alpha, poly, t + refine_tol)
+        if np.max(errors) <= t + refine_tol:
             converged = True
             break
-        grid = np.unique(np.concatenate([grid, [gamma_star]]))
+        grid = np.unique(np.concatenate([grid, angles[errors > t + refine_tol]]))
     if not converged:
         raise RuntimeError(
             f"grid refinement did not converge within {max_rounds} rounds "

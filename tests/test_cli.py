@@ -237,6 +237,13 @@ class TestSizeChecks:
         assert "positive integer" in error or "not an integer" in error
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_refine_tol_rejected(self, capsys, tol):
+        error = assert_usage_error(*run_cli(
+            capsys, "general", "--d", "2", "--n", "1", "--m", "1",
+            "--refine-tol", tol))
+        assert "positive finite number" in error
+
     def test_missing_subcommand(self, capsys):
         error = assert_usage_error(*run_cli(capsys))
         assert "subcommand" in error
@@ -262,6 +269,11 @@ class TestReportShape:
         run_report(capsys, "nogo", "--test-file", str(path))
         run_report(capsys, "general", "--d", "2", "--n", "1", "--m", "1",
                    "--grid", "33")
+
+    def test_wall_time_is_unrounded(self, capsys):
+        report = run_report(capsys, "witness", "--demo")
+        assert isinstance(report["wall_time_ms"], float)
+        assert report["wall_time_ms"] > 0
 
     def test_seed_is_echoed(self, capsys):
         report = run_report(capsys, "--seed", "123", "witness", "--demo")

@@ -226,11 +226,68 @@ class TestBatchedEvaluation:
         (2, 2, 2, 0.5471042754760884),
         (2, 3, 8, 0.9235885721264826),
         (3, 4, 4, 0.5479908323737882),
+        # several cutting-plane rounds at the parent commit
+        (2, 1, 8, 1.1773656690532166),
+        (2, 2, 8, 1.0242226176717508),
+        (3, 3, 8, 0.9235885721264838),
     ])
     def test_pinned_minimax_values(self, d, n, m, value):
         inst = general.make_instance(d, n, m)
         _, solved = general.solve_minimax(inst)
         assert solved == pytest.approx(value, abs=1e-9)
+
+
+class TestCuttingPlanes:
+    """The one-sided grid LP and the multi-cut refinement rounds."""
+
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 1), (2, 2, 4), (3, 2, 2),
+                                       (2, 1, 8), (2, 3, 8), (2, 4, 8)])
+    def test_grid_optimum_is_the_l1_worst_case(self, d, n, m):
+        # the LP bounds 2 sum_k (f_k - p_k)^+, which is the L1 distance
+        # only because f and p both sum to 1
+        inst = general.make_instance(d, n, m)
+        alpha, t = general._solve_on_grid(inst, inst.gamma_grid, inst.poly)
+        errors = general._l1_errors(alpha, inst.poly, m, inst.gamma_grid)
+        assert t == pytest.approx(float(np.max(errors)), abs=1e-8)
+
+    @pytest.mark.parametrize("d,n,m,tol", [(2, 1, 8, 1e-4), (2, 2, 4, 1e-4),
+                                           (3, 3, 8, 1e-4), (2, 4, 8, 1e-4),
+                                           (2, 2, 8, 1e-6)])
+    def test_value_holds_on_dense_scan(self, d, n, m, tol):
+        inst = general.make_instance(d, n, m)
+        coeffs, value = general.solve_minimax(inst, refine_tol=tol)
+        dense = general.make_instance(d, n, m, grid_points=20001)
+        assert float(np.max(general.error_profile(dense, coeffs))) <= value + tol
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_peak_is_polished(self, seed):
+        inst = general.make_instance(2, 3, 8)
+        alpha = random_coefficients(8, 3, np.random.default_rng(seed)).alpha
+        samples = 257
+        scan = np.linspace(0.0, math.pi / 2, samples)
+        values = general._l1_errors(alpha, inst.poly, 8, scan)
+        interior = np.flatnonzero((values[1:-1] >= values[:-2])
+                                  & (values[1:-1] > values[2:])) + 1
+        threshold = float(np.min(values[interior])) - 1e-3
+        above = interior[values[interior] > threshold]
+        assert above.size >= 2
+        angles, errors = general._violated_angles(inst, alpha, inst.poly,
+                                                  threshold, samples=samples)
+        assert angles.size >= above.size
+        assert np.array_equal(
+            errors, general._l1_errors(alpha, inst.poly, 8, angles))
+        for i in above:
+            near = np.abs(angles - scan[i]) <= scan[1]
+            assert near.any() and errors[near].max() >= values[i]
+        dense = np.linspace(0.0, math.pi / 2, 20001)
+        assert errors.max() >= general._l1_errors(
+            alpha, inst.poly, 8, dense).max() - 1e-9
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        inst = general.make_instance(2, 1, 1, grid_points=9)
+        with pytest.raises(ValueError, match="refine_tol"):
+            general.solve_minimax(inst, refine_tol=tol)
 
 
 class TestBetaPolynomials:
@@ -275,6 +332,13 @@ class TestBetaPolynomials:
             for g in np.linspace(0.0, math.pi / 2, 1000)
         )
         assert worst > -1e-10
+
+    def test_fitted_once_per_instance(self):
+        inst = general.make_instance(2, 2, 1, grid_points=9)
+        assert general.beta_polynomials(inst) is inst.poly
+        assert not inst.poly.flags.writeable
+        again = general.make_instance(2, 2, 1, grid_points=9)
+        assert np.array_equal(again.poly, inst.poly)
 
     def test_rejects_bad_label(self):
         inst = general.make_instance(2, 1, 1, grid_points=9)

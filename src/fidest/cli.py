@@ -172,10 +172,6 @@ def cmd_general(args) -> dict:
             raise ValueError("provide --d, --n and --m (or --instance)")
         d, n, m = args.d, args.n, args.m
         grid_points = args.grid
-    if not (2 <= d <= symmetry.MAX_LOCAL_DIM and 1 <= n <= symmetry.MAX_COPIES):
-        raise ValueError(
-            f"unsupported range: require 2 <= d <= {symmetry.MAX_LOCAL_DIM} "
-            f"and 1 <= n <= {symmetry.MAX_COPIES}, got d={d}, n={n}")
 
     inst = general.make_instance(d, n, m, grid_points=grid_points)
     coeffs, value = general.solve_minimax(inst, refine_tol=args.refine_tol)
@@ -192,7 +188,8 @@ def cmd_general(args) -> dict:
         "value_l1": value,
         "value_per_outcome": value / 2,
         "coefficients": [[float(x) for x in row] for row in coeffs.alpha],
-        "block_dims": list(inst.dec.dims),
+        "block_dims": [symmetry.weyl_block_dimension(d, n, l)
+                       for l in range(n + 1)],
         "profile": [[float(g), float(e)]
                     for g, e in zip(inst.gamma_grid, profile)],
         "max_profile_error": float(np.max(profile)),

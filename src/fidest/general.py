@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
 
 from . import qcore, symmetry
-
-_HELD_OUT_ANGLES = 10
-_POLY_FIT_TOL = 1e-8
 
 
 def target_distribution(m: int, gamma: float) -> np.ndarray:
@@ -96,13 +94,11 @@ class CoefficientMatrix:
 @dataclass(frozen=True)
 class GeneralInstance:
     """Problem instance: d-level systems, n copies per state, m samples,
-    isotypic data, the angle grid used for optimization, and the block-weight
-    polynomials (see beta_polynomials)."""
+    the angle grid used for optimization, and the block-weight polynomials
+    (see beta_polynomials)."""
     d: int
     n: int
     m: int
-    dec: symmetry.IsotypicDecomposition
-    emb: symmetry.SymmetricEmbedding
     gamma_grid: np.ndarray
     poly: np.ndarray
 
@@ -118,52 +114,59 @@ class GeneralInstance:
         g.setflags(write=False)
         self.poly.setflags(write=False)
 
+    @property
+    def dec(self) -> symmetry.IsotypicDecomposition:
+        """Isotypic projectors for (d, n); the minimax solver never needs
+        them."""
+        return symmetry.isotypic_projectors(self.d, self.n)
+
+    @property
+    def emb(self) -> symmetry.SymmetricEmbedding:
+        return symmetry.symmetric_embedding(self.d, self.n)
+
 
 def make_instance(d: int, n: int, m: int, grid_points: int = 129,
-                  gamma_grid=None,
-                  dec: symmetry.IsotypicDecomposition | None = None) -> GeneralInstance:
+                  gamma_grid=None) -> GeneralInstance:
+    symmetry.check_supported(d, n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if dec is None:
-        dec = symmetry.isotypic_projectors(d, n)
-    elif (dec.d, dec.n) != (d, n):
-        raise ValueError(f"decomposition is for (d={dec.d}, n={dec.n})")
-    emb = symmetry.symmetric_embedding(d, n)
     if gamma_grid is None:
         if grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         gamma_grid = np.linspace(0.0, math.pi / 2, grid_points)
-    return GeneralInstance(d=d, n=n, m=m, dec=dec, emb=emb,
+    return GeneralInstance(d=d, n=n, m=m,
                            gamma_grid=np.asarray(gamma_grid, dtype=float),
-                           poly=_fit_block_weights(dec, emb))
+                           poly=_exact_block_weights(n))
 
 
-def _fit_block_weights(dec: symmetry.IsotypicDecomposition,
-                       emb: symmetry.SymmetricEmbedding) -> np.ndarray:
-    """Fit every block weight as a degree-n polynomial in x = cos^2 gamma
-    through n+1 angles and validate it on held-out angles."""
-    n = dec.n
+def _exact_block_weights(n: int) -> np.ndarray:
+    """Power-basis coefficients in x = cos^2 gamma of every block weight.
 
-    def weights(xs):
-        return np.array([beta_for_angle(dec, emb, math.acos(math.sqrt(x)))
-                         for x in xs])
-
-    nodes_x = np.linspace(0.0, 1.0, n + 1)
-    vander = np.vander(nodes_x, n + 1, increasing=True)
-    coeffs = np.linalg.solve(vander, weights(nodes_x)).T  # rows indexed by l
-    held_x = (np.arange(_HELD_OUT_ANGLES) + 0.5) / _HELD_OUT_ANGLES
-    predicted = np.vander(held_x, n + 1, increasing=True) @ coeffs.T
-    residual = float(np.max(np.abs(predicted - weights(held_x))))
-    if residual > _POLY_FIT_TOL:
-        raise RuntimeError(
-            f"block weights are not degree-{n} polynomials in cos^2(gamma) "
-            f"(residual {residual!r}); isotypic construction is suspect")
+    The canonical pair spans two levels, so block l is total spin J = n - l
+    of two spin-n/2 factors, and with |pi>^n = |n/2, n/2>,
+    beta_l(x) = sum_{k<=J} C(n, k) x^k (1 - x)^(n-k) c_k with c_k the squared
+    Clebsch-Gordan coefficient <n/2, n/2; n/2, k - n/2 | J, k>^2 (one term of
+    Racah's formula). The sums run over exact fractions, each rounded once.
+    """
+    f = math.factorial
+    coeffs = np.empty((n + 1, n + 1))
+    for l in range(n + 1):
+        j = n - l
+        row = [Fraction(0)] * (n + 1)
+        for k in range(j + 1):
+            cg2 = Fraction((2 * j + 1) * f(n) * f(n - k) * f(j + k),
+                           f(n + j + 1) * f(l) * f(k) * f(j - k))
+            weight = math.comb(n, k) * cg2
+            # x^k (1 - x)^(n-k) = sum_i C(n-k, i) (-1)^i x^(k+i)
+            for i in range(n - k + 1):
+                row[k + i] += (-1) ** i * math.comb(n - k, i) * weight
+        coeffs[l] = [float(c) for c in row]
     return coeffs
 
 
 def beta_polynomials(inst: GeneralInstance) -> np.ndarray:
     """Coefficients (ascending powers of x = cos^2 gamma) of every block
-    weight, one row per block; fitted and validated once by make_instance."""
+    weight, one row per block; computed exactly by make_instance."""
     return inst.poly
 
 
@@ -185,18 +188,11 @@ def _l1_errors(alpha: np.ndarray, poly: np.ndarray, m: int,
     return np.abs(f - _target_distributions(m, gammas)).sum(axis=1)
 
 
-def beta_polynomial_fit(inst: GeneralInstance, l: int) -> np.ndarray:
-    """Polynomial coefficients of block l in x = cos^2(gamma)."""
-    if not 0 <= l <= inst.n:
-        raise ValueError(f"l = {l} outside 0..{inst.n}")
-    return beta_polynomials(inst)[l]
-
-
 def achieved_distribution(inst: GeneralInstance, coeffs: CoefficientMatrix,
                           gamma: float) -> np.ndarray:
     """Outcome-count distribution f = alpha . beta(gamma)."""
     _check_shape(inst, coeffs)
-    f = coeffs.alpha @ beta_for_angle(inst.dec, inst.emb, gamma)
+    f = coeffs.alpha @ _block_weights(inst.poly, np.array([gamma]))[0]
     return qcore.check_outcome_distribution(f)
 
 

@@ -187,14 +187,6 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def hermitian_eigensystem(m, tol: float = 1e-10):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator."""
-    a = as_operator(m)
-    if not is_hermitian(a, tol):
-        raise ValueError("operator is not Hermitian")
-    return np.linalg.eigh((a + a.conj().T) / 2)
-
-
 def matrix_unit_basis(d: int) -> list[np.ndarray]:
     """The d^2 matrix units E_ij, orthonormal under the trace inner product."""
     out = []

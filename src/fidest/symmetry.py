@@ -22,8 +22,14 @@ from . import qcore
 MAX_COPIES = 4
 MAX_LOCAL_DIM = 3
 
-_CLUSTER_GAP = 1e-6
-_MAX_ATTEMPTS = 3
+
+def check_supported(d: int, n: int) -> None:
+    """Raise ValueError unless 2 <= d <= MAX_LOCAL_DIM and
+    1 <= n <= MAX_COPIES."""
+    if not (2 <= d <= MAX_LOCAL_DIM and 1 <= n <= MAX_COPIES):
+        raise ValueError(
+            f"unsupported range: require 2 <= d <= {MAX_LOCAL_DIM} "
+            f"and 1 <= n <= {MAX_COPIES}, got d={d}, n={n}")
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -127,25 +133,22 @@ def collective_generators(emb: SymmetricEmbedding) -> np.ndarray:
     """One-body matrix units summed over the n copies, compressed to H+^n.
 
     Returns g with shape (d, d, dim_plus, dim_plus); g[a, b] is the
-    collective transfer operator moving one copy from level b to level a.
+    collective transfer operator moving one copy from level b to level a:
+    g[a, b]|occ> = sqrt(occ_b (occ_a + 1 - delta_ab)) |occ - e_b + e_a>.
     """
-    d, n = emb.d, emb.n
-    b = emb.basis
-    out = np.empty((d, d, emb.dim_plus, emb.dim_plus), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for a_idx in range(d):
-        for b_idx in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[a_idx, b_idx] = 1.0
-            total = np.zeros((d ** n, d ** n), dtype=complex)
-            for t in range(n):
-                factors = [eye] * n
-                factors[t] = unit
-                term = factors[0]
-                for f in factors[1:]:
-                    term = np.kron(term, f)
-                total += term
-            out[a_idx, b_idx] = b.conj().T @ total @ b
+    d = emb.d
+    column = {occ: col for col, occ in enumerate(emb.occupations)}
+    out = np.zeros((d, d, emb.dim_plus, emb.dim_plus), dtype=complex)
+    for col, occ in enumerate(emb.occupations):
+        for a_idx in range(d):
+            for b_idx in range(d):
+                if occ[b_idx] == 0:
+                    continue
+                moved = list(occ)
+                moved[b_idx] -= 1
+                moved[a_idx] += 1
+                out[a_idx, b_idx, column[tuple(moved)], col] = math.sqrt(
+                    occ[b_idx] * (occ[a_idx] + 1 - (a_idx == b_idx)))
     return out
 
 
@@ -181,88 +184,32 @@ class IsotypicDecomposition:
         return self.projectors[0].shape[0]
 
 
-def _cluster_sorted(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Split sorted eigenvalues into clusters at gaps larger than ``gap``."""
-    splits = np.nonzero(np.diff(values) > gap)[0] + 1
-    return np.split(np.arange(values.size), splits)
-
-
-def _build_isotypic(d: int, n: int) -> IsotypicDecomposition:
-    emb = symmetric_embedding(d, n)
-    dim = emb.dim_plus
-    exchange = swap_operator(dim)
-    gens = collective_generators(emb)
-    casimir = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a_idx in range(d):
-        for b_idx in range(d):
-            casimir += np.kron(gens[a_idx, b_idx], gens[b_idx, a_idx])
-    casimir = (casimir + casimir.conj().T) / 2
-
-    # Block labels follow the highest-weight ordering (2n-l, l, 0, ...):
-    # match clusters to l by dimension (Weyl dimension formula) with the
-    # d=3, n=2 dimension tie broken by exchange parity (-1)^l.
-    expected = {}
-    for l in range(n + 1):
-        key = (weyl_block_dimension(d, n, l), (-1) ** l)
-        if key in expected:
-            raise RuntimeError(f"ambiguous block labels for d={d}, n={n}")
-        expected[key] = l
-
-    last_error = "no attempt made"
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng(90210 + attempt)
-        c = rng.uniform(0.5, 1.5, size=2)
-        generic = c[0] * math.sqrt(2) * exchange + c[1] * math.sqrt(3) * casimir
-        vals, vecs = qcore.hermitian_eigensystem(generic)
-        clusters = _cluster_sorted(vals, _CLUSTER_GAP)
-        if len(clusters) != n + 1:
-            last_error = f"found {len(clusters)} eigenvalue clusters, expected {n + 1}"
-            continue
-        projectors: list = [None] * (n + 1)
-        dims = [0] * (n + 1)
-        ok = True
-        for idx in clusters:
-            v = vecs[:, idx]
-            p = v @ v.conj().T
-            p = (p + p.conj().T) / 2
-            block_dim = len(idx)
-            parity_val = float(np.real(np.einsum("ij,ji->", exchange, p))) / block_dim
-            parity = int(round(parity_val))
-            if abs(parity_val - parity) > 1e-6 or parity not in (-1, 1):
-                ok = False
-                last_error = f"mixed exchange parity {parity_val!r} in a cluster"
-                break
-            l = expected.get((block_dim, parity))
-            if l is None or projectors[l] is not None:
-                ok = False
-                last_error = f"cluster (dim={block_dim}, parity={parity}) has no unique label"
-                break
-            projectors[l] = p
-            dims[l] = block_dim
-        if not ok:
-            continue
-        total = sum(projectors)
-        if float(np.max(np.abs(total - np.eye(dim * dim)))) > 1e-8:
-            last_error = "projectors do not sum to the identity"
-            continue
-        return IsotypicDecomposition(d=d, n=n, projectors=tuple(projectors),
-                                     dims=tuple(dims))
-    raise RuntimeError(
-        f"isotypic block construction failed for d={d}, n={n}: {last_error}")
-
-
 @lru_cache(maxsize=None)
 def isotypic_projectors(d: int, n: int) -> IsotypicDecomposition:
-    """The n+1 isotypic projectors on H+^n (x) H+^n, ordered by label l."""
-    if d < 2:
-        raise ValueError("d must be >= 2 (the d=1 decomposition is trivial)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d > MAX_LOCAL_DIM or n > MAX_COPIES:
-        raise ValueError(
-            f"unsupported range: require d <= {MAX_LOCAL_DIM} and n <= {MAX_COPIES}, "
-            f"got d={d}, n={n}")
-    return _build_isotypic(d, n)
+    """The n+1 isotypic projectors on H+^n (x) H+^n, ordered by label l.
+
+    X = sum_ab g_ab (x) g_ba is (C - C_1 - C_2) / 2 for the quadratic gl(d)
+    Casimirs C of the product and C_1 = C_2 of the factors, so it acts on
+    block l, highest weight (2n - l, l), as the integer (n - l)^2 - l. These
+    values are distinct, so S_l is the Lagrange polynomial in X that is 1 on
+    block l and 0 on every other block.
+    """
+    check_supported(d, n)
+    gens = collective_generators(symmetric_embedding(d, n))
+    x = sum(np.kron(gens[a_idx, b_idx], gens[b_idx, a_idx])
+            for a_idx in range(d) for b_idx in range(d))
+    eye = np.eye(x.shape[0], dtype=complex)
+    values = [(n - l) ** 2 - l for l in range(n + 1)]
+    projectors = []
+    for value in values:
+        p = eye
+        for other in values:
+            if other != value:
+                p = p @ (x - other * eye) / (value - other)
+        projectors.append(p)
+    dims = tuple(weyl_block_dimension(d, n, l) for l in range(n + 1))
+    return IsotypicDecomposition(d=d, n=n, projectors=tuple(projectors),
+                                 dims=dims)
 
 
 def twirl(rho, dec: IsotypicDecomposition) -> np.ndarray:

@@ -208,6 +208,10 @@ class TestGeneralCommand:
                                "--m", "1")
         assert code == 1
         assert "unsupported range" in json.loads(err.strip())["error"]
+        code, _, err = run_cli(capsys, "general", "--d", "1", "--n", "1",
+                               "--m", "1")
+        assert code == 1
+        assert "unsupported range" in json.loads(err.strip())["error"]
 
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "general", "--d", "2")

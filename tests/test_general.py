@@ -5,7 +5,7 @@ import pytest
 
 from fidest import general, qcore, symmetry
 
-SUPPORTED_PAIRS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+SUPPORTED_PAIRS = [(d, n) for d in (2, 3) for n in (1, 2, 3, 4)]
 
 
 def random_coefficients(m, n, rng):
@@ -293,19 +293,19 @@ class TestCuttingPlanes:
 class TestBetaPolynomials:
     def test_single_copy_symmetric_block(self):
         inst = general.make_instance(2, 1, 1, grid_points=9)
-        coeffs = general.beta_polynomial_fit(inst, 0)
+        coeffs = general.beta_polynomials(inst)[0]
         assert np.allclose(coeffs, [0.5, 0.5], atol=1e-12)
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_holds_at_held_out_angles(self, d, n):
         inst = general.make_instance(d, n, 1, grid_points=9)
-        poly = general.beta_polynomials(inst)  # raises above 1e-8 residual
+        poly = general.beta_polynomials(inst)
         xs = np.linspace(0.05, 0.95, 10)
         for x in xs:
             direct = general.beta_for_angle(inst.dec, inst.emb,
                                             math.acos(math.sqrt(x)))
             fitted = np.vander([x], n + 1, increasing=True)[0] @ poly.T
-            assert np.max(np.abs(direct - fitted)) < 1e-8
+            assert np.max(np.abs(direct - fitted)) < 1e-12
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_equal_pair_weights_are_boolean(self, d, n):
@@ -340,10 +340,12 @@ class TestBetaPolynomials:
         again = general.make_instance(2, 2, 1, grid_points=9)
         assert np.array_equal(again.poly, inst.poly)
 
-    def test_rejects_bad_label(self):
-        inst = general.make_instance(2, 1, 1, grid_points=9)
-        with pytest.raises(ValueError, match="l ="):
-            general.beta_polynomial_fit(inst, 5)
+    @pytest.mark.parametrize("n", range(1, symmetry.MAX_COPIES + 1))
+    def test_independent_of_local_dimension(self, n):
+        # the canonical pair spans two levels whatever d is
+        qubit = general.make_instance(2, n, 1, grid_points=9)
+        qutrit = general.make_instance(3, n, 1, grid_points=9)
+        assert np.array_equal(qubit.poly, qutrit.poly)
 
 
 class TestCoefficientMatrix:
@@ -368,7 +370,7 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="endpoints"):
             general.make_instance(2, 1, 1, gamma_grid=np.linspace(0.1, 1.0, 5))
 
-    def test_decomposition_must_match(self):
-        dec = symmetry.isotypic_projectors(2, 2)
-        with pytest.raises(ValueError, match="decomposition"):
-            general.make_instance(2, 1, 1, dec=dec)
+    @pytest.mark.parametrize("d,n", [(2, 5), (4, 1), (1, 1)])
+    def test_rejects_unsupported_range(self, d, n):
+        with pytest.raises(ValueError, match="unsupported range"):
+            general.make_instance(d, n, 1)

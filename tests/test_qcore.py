@@ -159,18 +159,6 @@ class TestHaarSampling:
         assert np.max(np.abs(acc / count - np.eye(2) / 2)) < 0.02
 
 
-class TestEigensystem:
-    def test_reconstruction(self):
-        rng = np.random.default_rng(4)
-        m = random_hermitian(6, rng)
-        w, v = qcore.hermitian_eigensystem(m)
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            qcore.hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestValidators:
     def test_density_operator_accepts_valid(self):
         rho = qcore.pure_state_projector(qcore.haar_random_state(3, 0))

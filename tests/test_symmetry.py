@@ -6,7 +6,7 @@ import pytest
 
 from fidest import general, qcore, symmetry
 
-SUPPORTED_PAIRS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+SUPPORTED_PAIRS = [(d, n) for d in (2, 3) for n in (1, 2, 3, 4)]
 
 
 class TestSymAntisymProjectors:
@@ -130,6 +130,36 @@ class TestEmbedStatePower:
             symmetry.embed_state_power([1.0, 0.0, 0.0], 2, emb)
 
 
+def dense_collective_generators(emb):
+    """Oracle: sum over copies of the one-body matrix units as d^n x d^n
+    Kronecker products, compressed to H+^n."""
+    d, n = emb.d, emb.n
+    eye = np.eye(d, dtype=complex)
+    out = np.empty((d, d, emb.dim_plus, emb.dim_plus), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[a, b] = 1.0
+            total = np.zeros((d ** n, d ** n), dtype=complex)
+            for t in range(n):
+                factors = [eye] * n
+                factors[t] = unit
+                term = factors[0]
+                for f in factors[1:]:
+                    term = np.kron(term, f)
+                total += term
+            out[a, b] = emb.basis.conj().T @ total @ emb.basis
+    return out
+
+
+class TestCollectiveGenerators:
+    @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
+    def test_matches_kronecker_sum_oracle(self, d, n):
+        emb = symmetry.symmetric_embedding(d, n)
+        got = symmetry.collective_generators(emb)
+        assert np.max(np.abs(got - dense_collective_generators(emb))) < 1e-12
+
+
 class TestIsotypicProjectors:
     def test_single_copy_matches_exchange_projectors(self):
         dec = symmetry.isotypic_projectors(2, 1)
@@ -169,6 +199,19 @@ class TestIsotypicProjectors:
                         symmetry.embed_unitary(u, emb))
             for p in dec.projectors:
                 assert np.max(np.abs(k @ p - p @ k)) < 1e-7
+
+    @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
+    def test_block_eigenvalues_and_dims(self, d, n):
+        # X = sum_ab g_ab (x) g_ba is (n - l)^2 - l on block l
+        gens = symmetry.collective_generators(symmetry.symmetric_embedding(d, n))
+        x = sum(np.kron(gens[a, b], gens[b, a])
+                for a in range(d) for b in range(d))
+        dec = symmetry.isotypic_projectors(d, n)
+        for l, p in enumerate(dec.projectors):
+            assert np.max(np.abs(x @ p - ((n - l) ** 2 - l) * p)) < 1e-10
+            assert np.trace(p).real == pytest.approx(
+                symmetry.weyl_block_dimension(d, n, l), abs=1e-10)
+            assert dec.dims[l] == symmetry.weyl_block_dimension(d, n, l)
 
     def test_rejects_trivial_and_oversized(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,4 @@ unknown pure states exactly, reproduces the optimal universal approximation
 and attacks the general n-copy / m-sample minimax problem numerically.
 """
 
-from . import approx, general, nogo, qcore, symmetry, witness
-
-__all__ = ["approx", "general", "nogo", "qcore", "symmetry", "witness"]
 __version__ = "0.1.0"

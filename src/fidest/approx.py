@@ -75,14 +75,14 @@ def _ternary_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return (lo + hi) / 2
 
 
-def optimize_invariant_test(coarse: int = 21) -> tuple[InvariantTest, float]:
+def optimize_invariant_test() -> tuple[InvariantTest, float]:
     """Minimize the closed-form deviation over the coefficient square by a
-    coarse grid followed by alternating 1-D ternary searches."""
+    21 x 21 grid followed by alternating 1-D ternary searches."""
 
     def delta(s, a):
         return max((s + a) / 2, 1.0 - s)
 
-    grid = np.linspace(0.0, 1.0, coarse)
+    grid = np.linspace(0.0, 1.0, 21)
     best_s, best_a = min(((s, a) for s in grid for a in grid),
                          key=lambda sa: delta(*sa))
     for _ in range(4):
@@ -107,10 +107,10 @@ class PartialInfoReport:
         return self.agreements == self.decided
 
 
-def partial_info_check(trials: int, seed, d: int = 2,
-                       margin: float = 1e-9) -> PartialInfoReport:
+def partial_info_check(trials: int, seed, d: int = 2) -> PartialInfoReport:
     """Check that the optimal test answers 'is the overlap above 1/2?'
-    correctly on Haar-random pairs whenever the overlap is off the threshold."""
+    correctly on Haar-random pairs whenever the overlap is more than 1e-9
+    off the threshold."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p_sym, _ = symmetry.sym_antisym_projectors(d)
@@ -122,7 +122,7 @@ def partial_info_check(trials: int, seed, d: int = 2,
     achieved = np.real(np.einsum("sa,ab,sb->s", pairs.conj(), a, pairs))
     overlaps = np.abs(np.einsum("si,si->s", phis.conj(), thetas)) ** 2
     identity_dev = float(np.max(np.abs(achieved - (1.0 + overlaps) / 3.0)))
-    decided_mask = np.abs(overlaps - 0.5) > margin
+    decided_mask = np.abs(overlaps - 0.5) > 1e-9
     agree = np.sign(achieved - 0.5) == np.sign(overlaps - 0.5)
     decided = int(np.count_nonzero(decided_mask))
     agreements = int(np.count_nonzero(agree & decided_mask))

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import approx, general, nogo, qcore, symmetry, witness
+from . import approx, nogo, qcore, symmetry, witness
 
 
 def _report(command: str, inputs: dict, results: dict, seed: int,
@@ -119,24 +119,22 @@ def random_test_family(count: int, d: int, seed) -> list[np.ndarray]:
 
 def cmd_nogo(args) -> dict:
     started = time.perf_counter()
-    certificates = []
     if args.test_file:
         t = qcore.load_matrix(args.test_file)
-        cert = nogo.theorem_one_check(t, seed=args.seed)
-        if not cert.verify(t):
-            raise RuntimeError("certificate failed self-verification")
-        certificates.append(nogo.certificate_to_json(cert))
+        jobs = [(t, args.seed)]
         inputs = {"test_file": args.test_file, "d": int(math.isqrt(t.shape[0]))}
     elif args.random_family:
         tests = random_test_family(args.random_family, args.d, args.seed)
-        for i, t in enumerate(tests):
-            cert = nogo.theorem_one_check(t, seed=args.seed + i)
-            if not cert.verify(t):
-                raise RuntimeError("certificate failed self-verification")
-            certificates.append(nogo.certificate_to_json(cert))
+        jobs = [(t, args.seed + i) for i, t in enumerate(tests)]
         inputs = {"random_family": args.random_family, "d": args.d}
     else:
         raise ValueError("provide --test-file or --random-family")
+    certificates = []
+    for t, seed in jobs:
+        cert = nogo.theorem_one_check(t, seed=seed)
+        if not cert.verify(t):
+            raise RuntimeError("certificate failed self-verification")
+        certificates.append(nogo.certificate_to_json(cert))
     results = {"certificates": certificates,
                "count": len(certificates)}
     return _report("nogo", inputs, results, args.seed,
@@ -164,6 +162,9 @@ def _read_instance(path: str, default_grid: int) -> tuple[int, int, int, int]:
 
 
 def cmd_general(args) -> dict:
+    # the only command that solves an LP, so the only one that loads SciPy
+    from . import general
+
     started = time.perf_counter()
     if args.instance:
         d, n, m, grid_points = _read_instance(args.instance, args.grid)
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     print(json.dumps(report, indent=2))

@@ -16,33 +16,18 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from . import qcore, symmetry
 
-
-def target_distribution(m: int, gamma: float) -> np.ndarray:
-    """Binomial distribution of m samples with success probability
-    cos^2(gamma); index k counts the 1-outcomes."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not -1e-12 <= gamma <= math.pi / 2 + 1e-12:
-        raise ValueError(f"gamma = {gamma!r} outside [0, pi/2]")
-    c = math.cos(gamma) ** 2
-    s = 1.0 - c
-    return np.array([math.comb(m, k) * c ** k * s ** (m - k)
-                     for k in range(m + 1)])
+_MAX_ROUNDS = 80  # cutting-plane rounds before solve_minimax gives up
 
 
 def _target_distributions(m: int, gammas: np.ndarray) -> np.ndarray:
-    """target_distribution at every angle of ``gammas``, one row each:
-    shape (G, m+1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    g = np.asarray(gammas, dtype=float)
-    outside = g[(g < -1e-12) | (g > math.pi / 2 + 1e-12)]
-    if outside.size:
-        raise ValueError(f"angles {outside!r} outside [0, pi/2]")
-    c = (np.cos(g) ** 2)[:, None]
+    """Binomial distribution of m samples with success probability
+    cos^2(gamma) at every angle of ``gammas``, one row each: shape (G, m+1);
+    index k counts the 1-outcomes."""
+    c = (np.cos(np.asarray(gammas, dtype=float)) ** 2)[:, None]
     k = np.arange(m + 1)
     comb = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float)
     return comb * c ** k * (1.0 - c) ** (m - k)
@@ -103,15 +88,7 @@ class GeneralInstance:
     poly: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma_grid, dtype=float)
-        if g.ndim != 1 or g.size < 2:
-            raise ValueError("gamma_grid must hold at least two angles")
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("gamma_grid must be strictly increasing")
-        if abs(g[0]) > 1e-12 or abs(g[-1] - math.pi / 2) > 1e-12:
-            raise ValueError("gamma_grid must include the endpoints 0 and pi/2")
-        object.__setattr__(self, "gamma_grid", g)
-        g.setflags(write=False)
+        self.gamma_grid.setflags(write=False)
         self.poly.setflags(write=False)
 
     @property
@@ -125,17 +102,17 @@ class GeneralInstance:
         return symmetry.symmetric_embedding(self.d, self.n)
 
 
-def make_instance(d: int, n: int, m: int, grid_points: int = 129,
-                  gamma_grid=None) -> GeneralInstance:
+def make_instance(d: int, n: int, m: int,
+                  grid_points: int = 129) -> GeneralInstance:
+    """Instance whose optimization grid is grid_points equally spaced angles
+    on [0, pi/2]."""
     symmetry.check_supported(d, n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if gamma_grid is None:
-        if grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
-        gamma_grid = np.linspace(0.0, math.pi / 2, grid_points)
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
     return GeneralInstance(d=d, n=n, m=m,
-                           gamma_grid=np.asarray(gamma_grid, dtype=float),
+                           gamma_grid=np.linspace(0.0, math.pi / 2, grid_points),
                            poly=_exact_block_weights(n))
 
 
@@ -210,11 +187,6 @@ def error_profile(inst: GeneralInstance, coeffs: CoefficientMatrix) -> np.ndarra
                       inst.gamma_grid, check=True)
 
 
-def objective(inst: GeneralInstance, coeffs: CoefficientMatrix) -> float:
-    """Worst-case L1 distance over the grid."""
-    return float(np.max(error_profile(inst, coeffs)))
-
-
 def effect_operators(inst: GeneralInstance, coeffs: CoefficientMatrix) -> list[np.ndarray]:
     """The measurement effects F_k = sum_l alpha[k, l] S_l."""
     return [sum(coeffs.alpha[k, l] * inst.dec.projectors[l]
@@ -270,7 +242,6 @@ def _solve_on_grid(inst: GeneralInstance, grid: np.ndarray,
                         for i in range(3))
     b_ub = np.concatenate([p_grid, np.zeros((n_grid, 1))], axis=1).ravel()
 
-    from scipy.sparse import coo_matrix
     a_ub = coo_matrix((vals, (rows, cols)),
                       shape=(n_grid * rows_per_angle, n_var))
 
@@ -334,9 +305,8 @@ def _violated_angles(inst: GeneralInstance, alpha: np.ndarray,
     return candidates[best, cols], scores[best, cols]
 
 
-def solve_minimax(inst: GeneralInstance, refine_tol: float = 1e-4,
-                  max_rounds: int = 80,
-                  refine: bool = True) -> tuple[CoefficientMatrix, float]:
+def solve_minimax(inst: GeneralInstance,
+                  refine_tol: float = 1e-4) -> tuple[CoefficientMatrix, float]:
     """Minimize the worst-case L1 distance over strategies by LP on the angle
     grid, with cutting-plane refinement until the continuous worst case
     exceeds the grid optimum by less than ``refine_tol``. The returned value
@@ -344,23 +314,16 @@ def solve_minimax(inst: GeneralInstance, refine_tol: float = 1e-4,
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
     poly = beta_polynomials(inst)
-    grid = np.asarray(inst.gamma_grid, dtype=float)
-    alpha = None
-    t = math.inf
-    rounds = max_rounds if refine else 1
-    converged = not refine
-    for _ in range(rounds):
+    grid = inst.gamma_grid
+    for _ in range(_MAX_ROUNDS):
         alpha, t = _solve_on_grid(inst, grid, poly)
-        if not refine:
-            break
         angles, errors = _violated_angles(inst, alpha, poly, t + refine_tol)
         if np.max(errors) <= t + refine_tol:
-            converged = True
             break
         grid = np.unique(np.concatenate([grid, angles[errors > t + refine_tol]]))
-    if not converged:
+    else:
         raise RuntimeError(
-            f"grid refinement did not converge within {max_rounds} rounds "
+            f"grid refinement did not converge within {_MAX_ROUNDS} rounds "
             f"(tolerance {refine_tol})")
     coeffs = CoefficientMatrix(m=inst.m, n=inst.n, alpha=_sanitize(alpha))
     profile = _l1_errors(coeffs.alpha, poly, inst.m, grid, check=True)

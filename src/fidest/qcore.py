@@ -15,7 +15,6 @@ import numpy as np
 
 ATOL_HERMITIAN = 1e-12
 ATOL_NORM = 1e-12
-ATOL_TRACE = 1e-12
 ATOL_EIGENVALUE = 1e-10
 ATOL_DIST_SUM = 1e-10
 ATOL_DIST_ENTRY = 1e-12
@@ -53,46 +52,31 @@ def check_state(v, tol: float = ATOL_NORM) -> np.ndarray:
     return a
 
 
-def check_density_operator(rho, tol_herm: float = ATOL_HERMITIAN,
-                           tol_eig: float = ATOL_EIGENVALUE,
-                           tol_trace: float = ATOL_TRACE) -> np.ndarray:
-    """Validate Hermiticity, positivity and unit trace of a density operator."""
-    a = as_operator(rho)
-    if not is_hermitian(a, tol_herm):
-        raise ValueError("density operator is not Hermitian")
-    tr = complex(np.trace(a))
-    if abs(tr - 1.0) > tol_trace:
-        raise ValueError(f"density operator has trace {tr!r}, expected 1")
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    if float(w.min()) < -tol_eig:
-        raise ValueError(f"density operator has negative eigenvalue {w.min()!r}")
-    return a
-
-
-def check_effect(t, tol: float = ATOL_EIGENVALUE) -> np.ndarray:
+def check_effect(t) -> np.ndarray:
     """Validate a test operator: Hermitian with spectrum inside [0, 1]."""
     a = as_operator(t)
     if not is_hermitian(a, 1e-10):
         raise ValueError("test operator is not Hermitian")
     w = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    if float(w.min()) < -tol or float(w.max()) > 1.0 + tol:
+    if (float(w.min()) < -ATOL_EIGENVALUE
+            or float(w.max()) > 1.0 + ATOL_EIGENVALUE):
         raise ValueError(
             f"test operator spectrum [{w.min()!r}, {w.max()!r}] not inside [0, 1]")
     return a
 
 
-def check_outcome_distribution(p, tol_sum: float = ATOL_DIST_SUM,
-                               tol_entry: float = ATOL_DIST_ENTRY) -> np.ndarray:
+def check_outcome_distribution(p) -> np.ndarray:
     """Validate a probability vector (entries in [0,1], summing to 1), or a
     2-D stack of them, one per row."""
     a = np.asarray(p, dtype=float)
     if a.ndim not in (1, 2) or a.size == 0:
         raise ValueError("expected a 1-D probability vector or a 2-D stack")
-    if float(a.min()) < -tol_entry or float(a.max()) > 1.0 + tol_entry:
+    if (float(a.min()) < -ATOL_DIST_ENTRY
+            or float(a.max()) > 1.0 + ATOL_DIST_ENTRY):
         raise ValueError(f"probabilities out of range: {a!r}")
     sums = np.atleast_1d(a.sum(axis=-1))
     s = float(sums[np.argmax(np.abs(sums - 1.0))])
-    if abs(s - 1.0) > tol_sum:
+    if abs(s - 1.0) > ATOL_DIST_SUM:
         raise ValueError(f"probabilities sum to {s!r}, expected 1")
     return a
 
@@ -118,11 +102,6 @@ def trace_fidelity(p, t) -> float:
     return float(((x + y) / 2).real)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_power(a, n: int) -> np.ndarray:
     """n-fold Kronecker power of an operator or vector."""
     if n < 1:
@@ -131,31 +110,6 @@ def kron_power(a, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = np.kron(out, a)
     return out
-
-
-def partial_trace(m, subsystem_dims, keep: int) -> np.ndarray:
-    """Trace out all tensor factors except ``keep`` (0-based).
-
-    ``subsystem_dims`` lists the factor dimensions whose product must equal
-    the matrix dimension.
-    """
-    a = as_operator(m)
-    dims = [int(x) for x in subsystem_dims]
-    if any(x < 1 for x in dims):
-        raise ValueError("subsystem dimensions must be positive")
-    if math.prod(dims) != a.shape[0]:
-        raise ValueError(
-            f"subsystem dimensions {dims} do not multiply to {a.shape[0]}")
-    k = len(dims)
-    if not 0 <= keep < k:
-        raise ValueError(f"keep index {keep} out of range for {k} factors")
-    t = a.reshape(dims + dims)
-    letters = "abcdefghijkl"
-    row = list(letters[:k])
-    col = list(letters[:k])
-    col[keep] = letters[k]
-    spec = "".join(row) + "".join(col) + "->" + row[keep] + col[keep]
-    return np.einsum(spec, t)
 
 
 def haar_random_state(dim: int, seed) -> np.ndarray:
@@ -239,37 +193,35 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the JSON wire format; rejects NaN/Inf entries."""
+    """Parse the JSON wire format: JSON integers rows, cols >= 1 and a list
+    of rows * cols [re, im] pairs of finite JSON numbers. Anything else
+    raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be positive")
-    if len(entries) != rows * cols:
+    missing = [key for key in ("rows", "cols", "entries") if key not in obj]
+    if missing:
+        raise ValueError(f"malformed matrix JSON: missing {missing}")
+    rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    for key, value in (("rows", rows), ("cols", cols)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"matrix {key} = {value!r} is not a positive integer")
+    if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(
-            f"expected {rows * cols} entries, got {len(entries)}")
+            f"entries must be a list of rows * cols = {rows * cols} pairs")
     flat = np.empty(rows * cols, dtype=complex)
     for idx, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"entry {idx} is not a [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, (int, float))
+                        and not isinstance(x, bool) for x in pair)):
+            raise ValueError(f"entry {idx} is not a [re, im] pair of numbers")
+        try:
+            z = complex(float(pair[0]), float(pair[1]))
+        except OverflowError:  # an integer beyond the float range
+            z = complex(math.inf)
+        if not np.isfinite(z):
             raise ValueError(f"entry {idx} is not finite")
-        flat[idx] = complex(re, im)
+        flat[idx] = z
     return flat.reshape(rows, cols)
-
-
-def state_from_json(obj) -> np.ndarray:
-    """Parse a state (single-column matrix JSON) into a 1-D vector."""
-    a = matrix_from_json(obj)
-    if a.shape[1] != 1:
-        raise ValueError(f"state JSON must have cols = 1, got {a.shape[1]}")
-    return a.ravel()
 
 
 def save_matrix(path, m) -> None:

@@ -224,13 +224,3 @@ def twirl(rho, dec: IsotypicDecomposition) -> np.ndarray:
         weight = np.einsum("ij,ji->", a, p) / block_dim
         out += weight * p
     return out
-
-
-def beta_coefficients(rho, dec: IsotypicDecomposition) -> np.ndarray:
-    """Block weights beta_l = Tr(rho S_l) of a state on H+^n (x) H+^n."""
-    a = qcore.as_operator(rho)
-    if a.shape[0] != dec.space_dim:
-        raise ValueError(f"operator dimension {a.shape[0]} != {dec.space_dim}")
-    return np.array([float(np.real(np.einsum("ij,ji->", a, p)))
-                     for p in dec.projectors])
-

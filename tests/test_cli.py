@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -125,6 +128,20 @@ class TestNogoCommand:
         path.write_text('{"rows": 2, "cols": 2, "entries": [[0, 0]]}')
         code, _, err = run_cli(capsys, "nogo", "--test-file", str(path))
         assert code == 1
+        assert "error" in json.loads(err.strip())
+
+    @pytest.mark.parametrize("text", [
+        '{"rows": 1, "cols": 1, "entries": 5}',
+        '{"rows": 1, "cols": 1, "entries": [[1, null]]}',
+        '{"rows": 1e400, "cols": 1, "entries": [[1, 0]]}',
+    ])
+    def test_mistyped_file_rejected(self, capsys, tmp_path, text):
+        path = tmp_path / "typed.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "nogo", "--test-file", str(path))
+        assert code == 1
+        assert out == ""
+        assert "\n" not in err.strip()
         assert "error" in json.loads(err.strip())
 
     def test_requires_an_input(self, capsys):
@@ -256,6 +273,19 @@ class TestSizeChecks:
         error = assert_usage_error(*run_cli(capsys, "witness", "--bogus"))
         assert "--bogus" in error
 
+    # each asks numpy for a 9e6 x 9e6 complex array (1.15 PiB); the request
+    # exceeds the address space, so it fails at once without touching memory
+    @pytest.mark.parametrize("argv", [
+        ["nogo", "--random-family", "1", "--d", "3000"],
+        ["optimal-test", "--d", "3000"],
+    ])
+    def test_oversized_dimension_fails_cleanly(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "\n" not in err.strip()
+        assert "error" in json.loads(err.strip())
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["general", "--help"])
@@ -282,3 +312,16 @@ class TestReportShape:
     def test_seed_is_echoed(self, capsys):
         report = run_report(capsys, "--seed", "123", "witness", "--demo")
         assert report["seed"] == 123
+
+
+class TestImportGraph:
+    def test_cli_does_not_load_the_lp_solver(self):
+        # only `general` solves an LP; every other command starts without
+        # paying for the scipy.optimize import
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import fidest.cli, sys; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"

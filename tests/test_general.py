@@ -14,21 +14,29 @@ def random_coefficients(m, n, rng):
     return general.CoefficientMatrix(m=m, n=n, alpha=a)
 
 
+def target(m, gamma):
+    """Binomial target at one angle, through the batched evaluation."""
+    return general._target_distributions(m, [gamma])[0]
+
+
+def worst_case(inst, coeffs):
+    return float(general.error_profile(inst, coeffs).max())
+
+
 class TestTargetDistribution:
     def test_single_sample_equal_states(self):
-        assert np.allclose(general.target_distribution(1, 0.0), [0.0, 1.0])
+        assert np.allclose(target(1, 0.0), [0.0, 1.0])
 
     def test_two_samples_diagonal_angle(self):
-        assert np.allclose(general.target_distribution(2, math.pi / 4),
-                           [0.25, 0.5, 0.25])
+        assert np.allclose(target(2, math.pi / 4), [0.25, 0.5, 0.25])
 
     def test_three_samples_third_angle(self):
-        got = general.target_distribution(3, math.pi / 3)
+        got = target(3, math.pi / 3)
         assert np.allclose(got, [27 / 64, 27 / 64, 9 / 64, 1 / 64])
 
     def test_sums_to_one(self):
         for gamma in np.linspace(0.0, math.pi / 2, 7):
-            assert general.target_distribution(4, gamma).sum() == pytest.approx(1.0)
+            assert target(4, gamma).sum() == pytest.approx(1.0)
 
 
 class TestAchievedDistribution:
@@ -43,7 +51,7 @@ class TestAchievedDistribution:
 
     def test_constant_strategy_ignores_angle(self):
         inst = general.make_instance(2, 1, 2, grid_points=17)
-        p0 = general.target_distribution(2, math.pi / 4)
+        p0 = target(2, math.pi / 4)
         coeffs = general.CoefficientMatrix(
             m=2, n=1, alpha=np.tile(p0[:, None], (1, 2)))
         for gamma in (0.0, 0.8, math.pi / 2):
@@ -94,13 +102,13 @@ class TestObjective:
 
     def test_constant_strategy_at_zero_angle(self):
         inst = general.make_instance(2, 1, 1, grid_points=17)
-        p0 = general.target_distribution(1, math.pi / 4)
+        p0 = target(1, math.pi / 4)
         coeffs = general.CoefficientMatrix(m=1, n=1,
                                            alpha=np.tile(p0[:, None], (1, 2)))
         f = general.achieved_distribution(inst, coeffs, 0.0)
-        assert np.sum(np.abs(f - general.target_distribution(1, 0.0))) == \
+        assert np.sum(np.abs(f - target(1, 0.0))) == \
             pytest.approx(1.0, abs=1e-12)
-        assert general.objective(inst, coeffs) == pytest.approx(1.0, abs=1e-12)
+        assert worst_case(inst, coeffs) == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_positive_for_all_solved_instances(self):
         for (n, m) in [(1, 1), (2, 1), (1, 2)]:
@@ -129,8 +137,10 @@ class TestSolveMinimax:
         # nested grids add constraints, so the optimum cannot drop
         coarse = general.make_instance(2, 1, 2, grid_points=33)
         fine = general.make_instance(2, 1, 2, grid_points=65)
-        _, v_coarse = general.solve_minimax(coarse, refine=False)
-        _, v_fine = general.solve_minimax(fine, refine=False)
+        assert np.all(np.isin(coarse.gamma_grid, fine.gamma_grid))
+        _, v_coarse = general._solve_on_grid(coarse, coarse.gamma_grid,
+                                             coarse.poly)
+        _, v_fine = general._solve_on_grid(fine, fine.gamma_grid, fine.poly)
         assert v_fine >= v_coarse - 1e-9
 
     def test_two_copies_embedding_bound(self):
@@ -167,7 +177,7 @@ class TestSolveMinimax:
         for gamma in (0.0, 0.6, 1.3):
             f = general.achieved_distribution(inst, coeffs, gamma)
             assert f[1] == pytest.approx((1 + math.cos(gamma) ** 2) / 3, abs=1e-10)
-        embedded_value = general.objective(inst, coeffs)
+        embedded_value = worst_case(inst, coeffs)
         assert embedded_value == pytest.approx(2 / 3, abs=1e-10)
         _, solved_value = general.solve_minimax(inst, refine_tol=1e-6)
         assert solved_value <= embedded_value + 1e-9
@@ -179,17 +189,18 @@ class TestSolveMinimax:
         # marginalizing to the first sample stays feasible and cannot beat
         # the single-sample optimum
         marg = general.first_sample_marginal(coeffs)
-        m1 = general.make_instance(2, 1, 1, gamma_grid=inst.gamma_grid)
+        m1 = general.make_instance(2, 1, 1, grid_points=129)
+        assert np.array_equal(m1.gamma_grid, inst.gamma_grid)
         m1_coeffs, m1_value = general.solve_minimax(m1, refine_tol=1e-6)
-        assert general.objective(m1, marg) >= m1_value - 1e-9
+        assert worst_case(m1, marg) >= m1_value - 1e-9
 
     def test_error_profile_matches_objective(self):
         inst = general.make_instance(2, 1, 1, grid_points=65)
-        coeffs, _ = general.solve_minimax(inst)
+        coeffs, value = general.solve_minimax(inst)
         profile = general.error_profile(inst, coeffs)
         assert profile.shape == inst.gamma_grid.shape
-        assert general.objective(inst, coeffs) == pytest.approx(
-            float(profile.max()), abs=1e-15)
+        # the single-copy worst case sits at the grid endpoints
+        assert float(profile.max()) == pytest.approx(value, abs=1e-12)
 
 
 class TestBatchedEvaluation:
@@ -204,7 +215,7 @@ class TestBatchedEvaluation:
             coeffs = random_coefficients(m, n, rng)
             per_angle = np.array([
                 np.sum(np.abs(general.achieved_distribution(inst, coeffs, g)
-                              - general.target_distribution(m, g)))
+                              - target(m, g)))
                 for g in inst.gamma_grid])
             profile = general.error_profile(inst, coeffs)
             assert np.max(np.abs(profile - per_angle)) < 1e-12
@@ -215,11 +226,10 @@ class TestBatchedEvaluation:
         batched = general._target_distributions(m, gammas)
         assert batched.shape == (gammas.size, m + 1)
         for row, g in zip(batched, gammas):
-            assert np.max(np.abs(row - general.target_distribution(m, g))) < 1e-15
-
-    def test_batched_target_rejects_angle_outside_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            general._target_distributions(2, np.array([0.0, 2.0]))
+            c = math.cos(g) ** 2
+            scalar = [math.comb(m, k) * c ** k * (1.0 - c) ** (m - k)
+                      for k in range(m + 1)]
+            assert np.max(np.abs(row - scalar)) < 1e-15
 
     @pytest.mark.parametrize("d,n,m,value", [
         (2, 1, 1, 0.6666666666666667),
@@ -366,10 +376,6 @@ class TestCoefficientMatrix:
 
 
 class TestInstanceValidation:
-    def test_grid_must_cover_endpoints(self):
-        with pytest.raises(ValueError, match="endpoints"):
-            general.make_instance(2, 1, 1, gamma_grid=np.linspace(0.1, 1.0, 5))
-
     @pytest.mark.parametrize("d,n", [(2, 5), (4, 1), (1, 1)])
     def test_rejects_unsupported_range(self, d, n):
         with pytest.raises(ValueError, match="unsupported range"):

@@ -3,8 +3,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fidest import qcore
+
+# Every value json.loads can return, including NaN/Infinity and integers
+# beyond the float range.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([10 ** 400, -10 ** 400]) | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=12)
+
+
+@st.composite
+def matrix_documents(draw):
+    """A well-formed wire-format document, with one field or one entry
+    replaced by an arbitrary JSON value in most draws."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    number = st.integers() | st.floats() | st.just(10 ** 400)
+    pair = st.lists(number, min_size=2, max_size=2)
+    doc = {"rows": rows, "cols": cols,
+           "entries": draw(st.lists(pair, min_size=rows * cols,
+                                    max_size=rows * cols))}
+    field = draw(st.sampled_from([None, "rows", "cols", "entries", "entry"]))
+    if field == "entry":
+        doc["entries"][draw(st.integers(0, rows * cols - 1))] = draw(JSON_VALUES)
+    elif field is not None:
+        doc[field] = draw(JSON_VALUES)
+    return doc
 
 
 def random_hermitian(d, rng):
@@ -73,57 +103,6 @@ class TestTraceFidelity:
             qcore.trace_fidelity(np.eye(2), np.eye(3))
 
 
-class TestTensor:
-    def test_scalars(self):
-        assert np.allclose(qcore.tensor([[2.0]], [[3.0]]), [[6.0]])
-
-    def test_identities(self):
-        assert np.allclose(qcore.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pure_product_rank_one(self):
-        p = qcore.pure_state_projector(qcore.haar_random_state(2, 0))
-        t = qcore.pure_state_projector(qcore.haar_random_state(2, 1))
-        assert np.linalg.matrix_rank(qcore.tensor(p, t), tol=1e-10) == 1
-
-    def test_associativity_and_trace(self):
-        rng = np.random.default_rng(11)
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                   for _ in range(3))
-        left = qcore.tensor(qcore.tensor(a, b), c)
-        right = qcore.tensor(a, qcore.tensor(b, c))
-        assert np.max(np.abs(left - right)) < 1e-15
-        assert np.trace(qcore.tensor(a, b)) == pytest.approx(
-            np.trace(a) * np.trace(b), abs=1e-12)
-
-
-class TestPartialTrace:
-    def test_product_state_recovery(self):
-        pi = qcore.pure_state_projector(qcore.haar_random_state(2, 5))
-        tau = qcore.pure_state_projector(qcore.haar_random_state(3, 6))
-        rho = qcore.tensor(pi, tau)
-        assert np.max(np.abs(qcore.partial_trace(rho, [2, 3], 0) - pi)) < 1e-12
-        assert np.max(np.abs(qcore.partial_trace(rho, [2, 3], 1) - tau)) < 1e-12
-
-    def test_maximally_entangled_reduces_to_mixed(self):
-        bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        red = qcore.partial_trace(rho, [2, 2], 0)
-        assert np.max(np.abs(red - np.eye(2) / 2)) < 1e-12
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(2)
-        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        for keep, dims in [(0, [3, 4]), (1, [3, 4]), (1, [2, 3, 2])]:
-            red = qcore.partial_trace(rho, dims, keep)
-            assert np.trace(red) == pytest.approx(1.0, abs=1e-12)
-
-    def test_inconsistent_dimensions(self):
-        with pytest.raises(ValueError, match="multiply"):
-            qcore.partial_trace(np.eye(4), [3, 2], 0)
-
-
 class TestHaarSampling:
     def test_dim_one_state(self):
         s = qcore.haar_random_state(1, 9)
@@ -160,14 +139,6 @@ class TestHaarSampling:
 
 
 class TestValidators:
-    def test_density_operator_accepts_valid(self):
-        rho = qcore.pure_state_projector(qcore.haar_random_state(3, 0))
-        qcore.check_density_operator(rho)
-
-    def test_density_operator_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            qcore.check_density_operator(2 * np.eye(2))
-
     def test_effect_rejects_oversized(self):
         with pytest.raises(ValueError, match="spectrum"):
             qcore.check_effect(2 * np.eye(2))
@@ -198,7 +169,9 @@ class TestMatrixJson:
         s = qcore.haar_random_state(4, 2)
         obj = qcore.matrix_to_json(s)
         assert obj["cols"] == 1 and obj["rows"] == 4
-        assert np.array_equal(qcore.state_from_json(obj), s)
+        back = qcore.matrix_from_json(obj)
+        assert back.shape == (4, 1)
+        assert np.array_equal(back.ravel(), s)
 
     def test_rejects_nan(self):
         obj = {"rows": 1, "cols": 1, "entries": [[float("nan"), 0.0]]}
@@ -221,3 +194,31 @@ class TestMatrixJson:
         with open(path) as fh:
             assert set(json.load(fh)) == {"rows", "cols", "entries"}
         assert np.array_equal(qcore.load_matrix(path), m)
+
+    @pytest.mark.parametrize("obj", [
+        {"rows": 1, "cols": 1, "entries": 5},
+        {"rows": 1, "cols": 1, "entries": [[1, None]]},
+        {"rows": math.inf, "cols": 1, "entries": [[1, 0]]},  # JSON 1e400
+        {"rows": 1.5, "cols": 1, "entries": [[1, 0]]},
+        {"rows": 1.0, "cols": 1, "entries": [[1, 0]]},
+        {"rows": "1", "cols": 1, "entries": [[1, 0]]},
+        {"rows": True, "cols": 1, "entries": [[1, 0]]},
+        {"rows": 1, "cols": 1, "entries": [["1", 0]]},
+        {"rows": 1, "cols": 1, "entries": [[False, 0]]},
+        {"rows": 1, "cols": 1, "entries": [[10 ** 400, 0]]},
+        {"rows": 2, "cols": 1, "entries": "ab"},
+        {"rows": 1, "cols": 1},
+    ])
+    def test_rejects_non_json_types(self, obj):
+        with pytest.raises(ValueError):
+            qcore.matrix_from_json(obj)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(JSON_VALUES | matrix_documents())
+    def test_any_json_value_parses_or_raises_value_error(self, obj):
+        try:
+            a = qcore.matrix_from_json(obj)
+        except ValueError:
+            return
+        assert a.shape == (obj["rows"], obj["cols"])
+        assert np.all(np.isfinite(a))

@@ -211,6 +211,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for real inputs: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type for tolerances: a finite number > 0."""
     try:
@@ -244,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     w = sub.add_parser("witness", help="evaluate the extended estimator")
-    w.add_argument("--p", type=float, default=None)
-    w.add_argument("--alpha", type=float, default=None)
-    w.add_argument("--beta", type=float, default=None)
-    w.add_argument("--gamma", type=float, default=0.0)
-    w.add_argument("--delta", type=float, default=0.0)
+    w.add_argument("--p", type=_finite_float, default=None)
+    w.add_argument("--alpha", type=_finite_float, default=None)
+    w.add_argument("--beta", type=_finite_float, default=None)
+    w.add_argument("--gamma", type=_finite_float, default=0.0)
+    w.add_argument("--delta", type=_finite_float, default=0.0)
     w.add_argument("--demo", action="store_true",
                    help="maximally violating inputs (one_component = -1)")
     w.set_defaults(func=cmd_witness)

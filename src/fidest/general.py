@@ -10,6 +10,7 @@ gamma grid with cutting-plane refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,15 @@ from scipy.sparse import coo_matrix
 from . import qcore, symmetry
 
 _MAX_ROUNDS = 80  # cutting-plane rounds before solve_minimax gives up
+_START_ANGLES = 9  # evenly spaced grid angles in the LP's first working set
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_row(m: int) -> np.ndarray:
+    """C(m, 0), ..., C(m, m) as a read-only float array."""
+    row = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float)
+    row.setflags(write=False)
+    return row
 
 
 def _target_distributions(m: int, gammas: np.ndarray) -> np.ndarray:
@@ -29,8 +39,7 @@ def _target_distributions(m: int, gammas: np.ndarray) -> np.ndarray:
     index k counts the 1-outcomes."""
     c = (np.cos(np.asarray(gammas, dtype=float)) ** 2)[:, None]
     k = np.arange(m + 1)
-    comb = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float)
-    return comb * c ** k * (1.0 - c) ** (m - k)
+    return _binomial_row(m) * c ** k * (1.0 - c) ** (m - k)
 
 
 def canonical_pair(d: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -267,6 +276,13 @@ def _sanitize(alpha: np.ndarray) -> np.ndarray:
     return a / a.sum(axis=0, keepdims=True)
 
 
+def _local_maxima(values: np.ndarray) -> np.ndarray:
+    """Mask of the samples at least as large as their left neighbour and
+    larger than their right one (the last of a plateau)."""
+    padded = np.concatenate([[-math.inf], values, [-math.inf]])
+    return (values >= padded[:-2]) & (values > padded[2:])
+
+
 def _violated_angles(inst: GeneralInstance, alpha: np.ndarray,
                      poly: np.ndarray, threshold: float,
                      samples: int = 2049) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +295,7 @@ def _violated_angles(inst: GeneralInstance, alpha: np.ndarray,
 
     gammas = np.linspace(0.0, math.pi / 2, samples)
     values = err(gammas)
-    padded = np.concatenate([[-math.inf], values, [-math.inf]])
-    peak = (values >= padded[:-2]) & (values > padded[2:]) & (values > threshold)
+    peak = _local_maxima(values) & (values > threshold)
     peak[int(np.argmax(values))] = True
     idx = np.flatnonzero(peak)
     lo = gammas[np.maximum(idx - 1, 0)]
@@ -307,24 +322,46 @@ def _violated_angles(inst: GeneralInstance, alpha: np.ndarray,
 
 def solve_minimax(inst: GeneralInstance,
                   refine_tol: float = 1e-4) -> tuple[CoefficientMatrix, float]:
-    """Minimize the worst-case L1 distance over strategies by LP on the angle
-    grid, with cutting-plane refinement until the continuous worst case
-    exceeds the grid optimum by less than ``refine_tol``. The returned value
-    is the worst case of the sanitized strategy over the refined grid."""
+    """Minimize the worst-case L1 distance over strategies by LP, with
+    cutting-plane refinement until the continuous worst case exceeds the
+    grid optimum by less than ``refine_tol``.
+
+    Every angle of ``inst.gamma_grid`` constrains the strategy, but each LP
+    sees only a working set: it starts with a few evenly spaced grid angles
+    and grows by every grid local maximum of the error that the last
+    solution violates, until none is left (the exchange method for
+    semi-infinite LPs). Only then are off-grid angles searched; those that
+    exceed the optimum by ``refine_tol`` join the working set and the
+    refined grid. The returned value is the worst case of the sanitized
+    strategy over the refined grid: ``inst.gamma_grid`` plus the added
+    angles."""
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
     poly = beta_polynomials(inst)
     grid = inst.gamma_grid
+    active = np.zeros(grid.size, dtype=bool)
+    active[np.round(np.linspace(0, grid.size - 1,
+                                min(_START_ANGLES, grid.size))).astype(int)] = True
+    added = np.empty(0)  # off-grid angles from the continuous refinement
     for _ in range(_MAX_ROUNDS):
-        alpha, t = _solve_on_grid(inst, grid, poly)
+        while True:  # each pass adds a grid angle, so at most grid.size passes
+            alpha, t = _solve_on_grid(
+                inst, np.union1d(grid[active], added), poly)
+            grid_errors = _l1_errors(alpha, poly, inst.m, grid)
+            level = max(t, float(np.max(grid_errors[active]))) + 1e-12
+            new = _local_maxima(grid_errors) & (grid_errors > level) & ~active
+            if not new.any():
+                break
+            active |= new
         angles, errors = _violated_angles(inst, alpha, poly, t + refine_tol)
         if np.max(errors) <= t + refine_tol:
             break
-        grid = np.unique(np.concatenate([grid, angles[errors > t + refine_tol]]))
+        added = np.unique(np.concatenate([added, angles[errors > t + refine_tol]]))
     else:
         raise RuntimeError(
             f"grid refinement did not converge within {_MAX_ROUNDS} rounds "
             f"(tolerance {refine_tol})")
     coeffs = CoefficientMatrix(m=inst.m, n=inst.n, alpha=_sanitize(alpha))
-    profile = _l1_errors(coeffs.alpha, poly, inst.m, grid, check=True)
+    profile = _l1_errors(coeffs.alpha, poly, inst.m,
+                         np.union1d(grid, added), check=True)
     return coeffs, float(np.max(profile))

@@ -44,10 +44,11 @@ def is_hermitian(m, tol: float = ATOL_HERMITIAN) -> bool:
 
 
 def check_state(v, tol: float = ATOL_NORM) -> np.ndarray:
-    """Validate unit norm; raises ValueError on non-normalized input."""
+    """Validate unit norm; raises ValueError on non-normalized input,
+    including a non-finite norm."""
     a = as_state(v)
     norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > tol:
+    if not (math.isfinite(norm) and abs(norm - 1.0) <= tol):
         raise ValueError(f"state is not normalized: ||v|| = {norm!r}")
     return a
 

@@ -265,6 +265,28 @@ class TestSizeChecks:
             "--refine-tol", tol))
         assert "positive finite number" in error
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "0.5", "--alpha", "nan", "--beta", "1"],
+        ["--p", "0.5", "--alpha", "inf", "--beta", "1"],
+        ["--p", "0.5", "--alpha", "1", "--beta=-inf"],
+        ["--p", "nan", "--alpha", "1", "--beta", "0"],
+        ["--p", "0.5", "--alpha", "1", "--beta", "0", "--gamma", "inf"],
+        ["--p", "0.5", "--alpha", "1", "--beta", "0", "--delta=-inf"],
+    ])
+    def test_non_finite_witness_input_rejected(self, capsys, argv):
+        error = assert_usage_error(*run_cli(capsys, "witness", *argv))
+        assert "finite number" in error
+
+    def test_non_finite_angle_gives_one_json_line(self):
+        # in a separate process, so a numpy RuntimeWarning would reach stderr
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-m", "fidest.cli", "witness", "--p", "0.5",
+             "--alpha", "1", "--beta", "0", "--gamma", "inf"],
+            capture_output=True, text=True, env=env)
+        assert_usage_error(out.returncode, out.stdout, out.stderr)
+
     def test_missing_subcommand(self, capsys):
         error = assert_usage_error(*run_cli(capsys))
         assert "subcommand" in error

@@ -231,6 +231,13 @@ class TestBatchedEvaluation:
                       for k in range(m + 1)]
             assert np.max(np.abs(row - scalar)) < 1e-15
 
+    def test_binomial_row_is_shared_and_read_only(self):
+        row = general._binomial_row(6)
+        assert general._binomial_row(6) is row
+        assert row.tolist() == [1, 6, 15, 20, 15, 6, 1]
+        with pytest.raises(ValueError):
+            row[0] = 2.0
+
     @pytest.mark.parametrize("d,n,m,value", [
         (2, 1, 1, 0.6666666666666667),
         (2, 2, 2, 0.5471042754760884),
@@ -298,6 +305,32 @@ class TestCuttingPlanes:
         inst = general.make_instance(2, 1, 1, grid_points=9)
         with pytest.raises(ValueError, match="refine_tol"):
             general.solve_minimax(inst, refine_tol=tol)
+
+
+class TestLazyGrid:
+    """Each LP sees only a working set of angles, yet the returned strategy
+    answers for every angle of the instance grid."""
+
+    @pytest.mark.parametrize("grid_points", [2, 3, 17, 129, 1025])
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 1), (2, 4, 8), (2, 2, 16)])
+    def test_every_grid_angle_is_satisfied(self, d, n, m, grid_points):
+        inst = general.make_instance(d, n, m, grid_points=grid_points)
+        coeffs, value = general.solve_minimax(inst)
+        assert float(np.max(general.error_profile(inst, coeffs))) <= value + 1e-12
+        _, full_grid_optimum = general._solve_on_grid(inst, inst.gamma_grid,
+                                                      inst.poly)
+        assert value >= full_grid_optimum - 1e-12
+
+    # recorded with every grid angle in every LP
+    @pytest.mark.parametrize("d,n,m,grid_points,value", [
+        (2, 4, 8, 129, 0.7982772956253172),
+        (2, 4, 8, 1025, 0.7982922365578883),
+        (2, 2, 16, 1025, 1.2110708005577846),
+    ])
+    def test_matches_the_full_grid_solver(self, d, n, m, grid_points, value):
+        inst = general.make_instance(d, n, m, grid_points=grid_points)
+        _, solved = general.solve_minimax(inst)
+        assert solved == pytest.approx(value, abs=1e-12)
 
 
 class TestBetaPolynomials:

@@ -139,6 +139,13 @@ class TestHaarSampling:
 
 
 class TestValidators:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_state_rejects_non_finite_norm(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            qcore.check_state([bad, 0.0])
+        with pytest.raises(ValueError, match="not normalized"):
+            qcore.check_state([bad, 0.0], tol=math.inf)
+
     def test_effect_rejects_oversized(self):
         with pytest.raises(ValueError, match="spectrum"):
             qcore.check_effect(2 * np.eye(2))

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.optimize import milp
+from scipy.sparse import csc_array
 
 from . import qcore, symmetry
 
 _MAX_ROUNDS = 80  # cutting-plane rounds before solve_minimax gives up
 _START_ANGLES = 9  # evenly spaced grid angles in the LP's first working set
+_MAX_SAMPLES = 1029  # largest m whose binomial coefficients are finite floats
+_ZOOM_POINTS = 17  # evenly spaced samples per bracket in each polish step
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,8 +118,8 @@ def make_instance(d: int, n: int, m: int,
     """Instance whose optimization grid is grid_points equally spaced angles
     on [0, pi/2]."""
     symmetry.check_supported(d, n)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not 1 <= m <= _MAX_SAMPLES:
+        raise ValueError(f"m = {m} is out of range: require 1 <= m <= {_MAX_SAMPLES}")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     return GeneralInstance(d=d, n=n, m=m,
@@ -223,7 +225,9 @@ def _solve_on_grid(inst: GeneralInstance, grid: np.ndarray,
     block weights sum to 1, so f and p both sum to 1 and
     ||f - p||_1 = 2 sum_k (f_k - p_k)^+: one-sided slacks suffice. Every
     angle owns m+2 consecutive rows: f_k - p_k <= s[g, k] for each k, then
-    2 sum_k s[g, k] <= t.
+    2 sum_k s[g, k] <= t. The column sums sum_k alpha[k, l] = 1 are the last
+    n+1 rows. HiGHS gets the model through milp without integer variables;
+    its answer must meet every bound and row to 1e-9.
     """
     m, n = inst.m, inst.n
     n_out, n_blk, n_grid = m + 1, n + 1, grid.size
@@ -231,6 +235,7 @@ def _solve_on_grid(inst: GeneralInstance, grid: np.ndarray,
     n_var = n_alpha + n_out * n_grid + 1
     t_idx = n_var - 1
     rows_per_angle = n_out + 1
+    n_ub = n_grid * rows_per_angle
 
     beta_grid = _block_weights(poly, grid)          # (G, n+1)
     p_grid = _target_distributions(m, grid)         # (G, m+1)
@@ -245,30 +250,28 @@ def _solve_on_grid(inst: GeneralInstance, grid: np.ndarray,
         (out_row[:, :, 0], slack, -1.0),
         (bound_row, slack, 2.0),
         (bound_row[:, 0], t_idx, -1.0),
+        (n_ub + l[0], k[0] * n_blk + l[0], 1.0),      # column sums
     ]
     parts = [np.broadcast_arrays(*e) for e in entries]
     rows, cols, vals = (np.concatenate([part[i].ravel() for part in parts])
                         for i in range(3))
+    a = csc_array((vals, (rows, cols)), shape=(n_ub + n_blk, n_var))
     b_ub = np.concatenate([p_grid, np.zeros((n_grid, 1))], axis=1).ravel()
-
-    a_ub = coo_matrix((vals, (rows, cols)),
-                      shape=(n_grid * rows_per_angle, n_var))
-
-    # sum_k alpha[k, l] = 1 for every block l
-    eq_cols = (np.arange(n_out)[None, :] * n_blk + np.arange(n_blk)[:, None]).ravel()
-    a_eq = coo_matrix((np.ones(n_alpha), (np.repeat(np.arange(n_blk), n_out), eq_cols)),
-                      shape=(n_blk, n_var))
-    b_eq = np.ones(n_blk)
-
+    # lower and upper bounds of the variables, then of the rows
+    lo = np.concatenate([np.zeros(n_var), np.full(n_ub, -np.inf), np.ones(n_blk)])
+    hi = np.concatenate([np.ones(n_alpha), np.full(n_var - n_alpha, np.inf),
+                         b_ub, np.ones(n_blk)])
     c = np.zeros(n_var)
     c[t_idx] = 1.0
-    bounds = ([(0.0, 1.0)] * n_alpha + [(0.0, None)] * (n_var - n_alpha))
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+    res = milp(c, bounds=(lo[:n_var], hi[:n_var]),
+               constraints=(a, lo[n_var:], hi[n_var:]))
     if res.status != 0:
         raise RuntimeError(f"LP solve failed (status {res.status}): {res.message}")
-    alpha = res.x[:n_alpha].reshape(m + 1, n + 1)
-    return alpha, float(res.fun)
+    z = np.concatenate([res.x, a @ res.x])
+    residual = max(np.max(lo - z), np.max(z - hi))
+    if not residual <= 1e-9:
+        raise RuntimeError(f"LP solution violates its constraints by {residual:.3g}")
+    return res.x[:n_alpha].reshape(m + 1, n + 1), float(res.fun)
 
 
 def _sanitize(alpha: np.ndarray) -> np.ndarray:
@@ -288,8 +291,10 @@ def _violated_angles(inst: GeneralInstance, alpha: np.ndarray,
                      samples: int = 2049) -> tuple[np.ndarray, np.ndarray]:
     """Continuous-angle local maximizers of the L1 error: every local maximum
     of a dense sample scan above ``threshold``, and the global one, polished
-    together by golden-section search on their brackets. Returns the angles
-    and their errors."""
+    together by zooming into their brackets. Each zoom step samples every
+    bracket at _ZOOM_POINTS evenly spaced angles in one evaluation and keeps
+    the two neighbours of the best one, until every bracket is narrower than
+    1e-12. Returns the angles and their errors."""
     def err(gammas):
         return _l1_errors(alpha, poly, inst.m, gammas)
 
@@ -300,23 +305,17 @@ def _violated_angles(inst: GeneralInstance, alpha: np.ndarray,
     idx = np.flatnonzero(peak)
     lo = gammas[np.maximum(idx - 1, 0)]
     hi = gammas[np.minimum(idx + 1, samples - 1)]
-    inv_phi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = err(x1), err(x2)
+    steps = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    cols = np.arange(idx.size)
     while np.max(b - a) > 1e-12:
-        left = f1 >= f2  # the maximum lies in [a, x2]
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        x1, x2 = (np.where(left, b - inv_phi * (b - a), x2),
-                  np.where(left, x1, a + inv_phi * (b - a)))
-        f_new = err(np.where(left, x1, x2))
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+        points = a[:, None] + (b - a)[:, None] * steps
+        best = np.argmax(err(points.ravel()).reshape(points.shape), axis=1)
+        a = points[cols, np.maximum(best - 1, 0)]
+        b = points[cols, np.minimum(best + 1, _ZOOM_POINTS - 1)]
     candidates = np.stack([lo, (a + b) / 2, hi, gammas[idx]])
     scores = err(candidates.ravel()).reshape(candidates.shape)
     best = np.argmax(scores, axis=0)
-    cols = np.arange(idx.size)
     return candidates[best, cols], scores[best, cols]
 
 

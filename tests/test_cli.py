@@ -287,6 +287,20 @@ class TestSizeChecks:
             capture_output=True, text=True, env=env)
         assert_usage_error(out.returncode, out.stdout, out.stderr)
 
+    def test_too_many_samples_gives_one_json_line(self):
+        # C(m, j) overflows a float beyond m = 1029; a separate process shows
+        # any traceback on stderr
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-m", "fidest.cli", "general", "--d", "2",
+             "--n", "1", "--m", "1100"],
+            capture_output=True, text=True, env=env)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert "\n" not in out.stderr.strip()
+        assert "1029" in json.loads(out.stderr.strip())["error"]
+
     def test_missing_subcommand(self, capsys):
         error = assert_usage_error(*run_cli(capsys))
         assert "subcommand" in error

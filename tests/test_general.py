@@ -1,7 +1,11 @@
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from fidest import general, qcore, symmetry
 
@@ -299,12 +303,110 @@ class TestCuttingPlanes:
         dense = np.linspace(0.0, math.pi / 2, 20001)
         assert errors.max() >= general._l1_errors(
             alpha, inst.poly, 8, dense).max() - 1e-9
+        # every returned angle is as good as a fine scan of its bracket
+        peaks = general._local_maxima(values) & (values > threshold)
+        peaks[int(np.argmax(values))] = True
+        idx = np.flatnonzero(peaks)
+        assert idx.size == angles.size
+        for i, error in zip(idx, errors):
+            bracket = np.linspace(scan[max(i - 1, 0)],
+                                  scan[min(i + 1, samples - 1)], 401)
+            assert error >= general._l1_errors(
+                alpha, inst.poly, 8, bracket).max() - 1e-13
+        # and no angle within 1e-6 of a returned one scores higher
+        for angle, error in zip(angles, errors):
+            window = np.linspace(angle - 1e-6, angle + 1e-6, 401)
+            assert error >= general._l1_errors(
+                alpha, inst.poly, 8, window).max() - 1e-13
+
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 8), (3, 4, 8)])
+    def test_solves_without_warnings(self, d, n, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            general.solve_minimax(general.make_instance(d, n, m))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, tol):
         inst = general.make_instance(2, 1, 1, grid_points=9)
         with pytest.raises(ValueError, match="refine_tol"):
             general.solve_minimax(inst, refine_tol=tol)
+
+
+def linprog_oracle(inst, grid):
+    """The grid LP in linprog's form: one-sided rows as A_ub, the column
+    sums as A_eq, bounds as a list; returns alpha and t."""
+    m, n = inst.m, inst.n
+    n_alpha = (m + 1) * (n + 1)
+    n_var = n_alpha + (m + 1) * grid.size + 1
+    beta = general._block_weights(inst.poly, grid)
+    p = general._target_distributions(m, grid)
+    rows, cols, vals, b_ub = [], [], [], []
+    for g in range(grid.size):
+        slacks = n_alpha + g * (m + 1) + np.arange(m + 1)
+        for k in range(m + 1):  # sum_l alpha[k, l] beta_l - s[g, k] <= p_k
+            row = len(b_ub)
+            rows += [row] * (n + 2)
+            cols += list(k * (n + 1) + np.arange(n + 1)) + [slacks[k]]
+            vals += list(beta[g]) + [-1.0]
+            b_ub.append(p[g, k])
+        row = len(b_ub)  # 2 sum_k s[g, k] - t <= 0
+        rows += [row] * (m + 2)
+        cols += list(slacks) + [n_var - 1]
+        vals += [2.0] * (m + 1) + [-1.0]
+        b_ub.append(0.0)
+    a_ub = coo_matrix((vals, (rows, cols)), shape=(len(b_ub), n_var))
+    eq_rows = [l for l in range(n + 1) for k in range(m + 1)]
+    eq_cols = [k * (n + 1) + l for l in range(n + 1) for k in range(m + 1)]
+    a_eq = coo_matrix((np.ones(n_alpha), (eq_rows, eq_cols)),
+                      shape=(n + 1, n_var))
+    c = np.zeros(n_var)
+    c[-1] = 1.0
+    bounds = [(0.0, 1.0)] * n_alpha + [(0.0, None)] * (n_var - n_alpha)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(n + 1),
+                  bounds=bounds, method="highs")
+    assert res.status == 0
+    return res.x[:n_alpha].reshape(m + 1, n + 1), res.fun
+
+
+class TestGridLP:
+    """_solve_on_grid hands HiGHS the model that linprog built for it."""
+
+    @pytest.mark.parametrize("working_set", ["grid", "irregular"])
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 1), (2, 2, 4), (2, 4, 8),
+                                       (3, 3, 8)])
+    def test_matches_linprog(self, d, n, m, working_set):
+        inst = general.make_instance(d, n, m)
+        grid = inst.gamma_grid
+        if working_set == "irregular":
+            grid = np.union1d(grid[[0, 5, 17, 40, 63, 64, 100, 128]],
+                              [0.0123, 0.4567, 0.9, 1.3579])
+        alpha, t = general._solve_on_grid(inst, grid, inst.poly)
+        ref_alpha, ref_t = linprog_oracle(inst, grid)
+        assert t == pytest.approx(ref_t, abs=1e-12)
+        assert np.max(np.abs(alpha - ref_alpha)) <= 1e-12
+
+    def test_failed_solve_raises(self, monkeypatch):
+        failed = types.SimpleNamespace(status=1, message="Iteration limit reached",
+                                       x=None, fun=None)
+        monkeypatch.setattr(general, "milp", lambda *args, **kwargs: failed)
+        inst = general.make_instance(2, 2, 4)
+        with pytest.raises(RuntimeError, match="status 1"):
+            general._solve_on_grid(inst, inst.gamma_grid, inst.poly)
+
+    @pytest.mark.parametrize("corrupt", ["row", "nan"])
+    def test_infeasible_answer_raises(self, monkeypatch, corrupt):
+        milp = general.milp
+
+        def broken(*args, **kwargs):
+            res = milp(*args, **kwargs)
+            # t below the worst angle's bound row, or no number at all
+            res.x[-1] = res.x[-1] - 1e-6 if corrupt == "row" else math.nan
+            return res
+
+        monkeypatch.setattr(general, "milp", broken)
+        inst = general.make_instance(2, 2, 4)
+        with pytest.raises(RuntimeError, match="violates its constraints"):
+            general._solve_on_grid(inst, inst.gamma_grid, inst.poly)
 
 
 class TestLazyGrid:
@@ -413,3 +515,15 @@ class TestInstanceValidation:
     def test_rejects_unsupported_range(self, d, n):
         with pytest.raises(ValueError, match="unsupported range"):
             general.make_instance(d, n, 1)
+
+    @pytest.mark.parametrize("m", [0, 1030, 1100])
+    def test_rejects_sample_count_out_of_range(self, m):
+        # beyond m = 1029 some C(m, j) is too large for a float
+        with pytest.raises(ValueError, match="1 <= m <= 1029"):
+            general.make_instance(2, 1, m)
+
+    def test_largest_sample_count_has_finite_targets(self):
+        inst = general.make_instance(2, 1, 1029, grid_points=5)
+        p = general._target_distributions(inst.m, inst.gamma_grid)
+        assert np.all(np.isfinite(p))
+        assert np.allclose(p.sum(axis=1), 1.0)

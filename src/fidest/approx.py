@@ -63,32 +63,12 @@ def delta_numeric(t: InvariantTest, grid_points: int, seed=0,
     return best
 
 
-def _ternary_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Minimize a 1-D convex function on [lo, hi] by ternary search."""
-    while hi - lo > tol:
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    return (lo + hi) / 2
-
-
 def optimize_invariant_test() -> tuple[InvariantTest, float]:
-    """Minimize the closed-form deviation over the coefficient square by a
-    21 x 21 grid followed by alternating 1-D ternary searches."""
+    """The optimal invariant test (2/3) P_sym and its deviation 1/3.
 
-    def delta(s, a):
-        return max((s + a) / 2, 1.0 - s)
-
-    grid = np.linspace(0.0, 1.0, 21)
-    best_s, best_a = min(((s, a) for s in grid for a in grid),
-                         key=lambda sa: delta(*sa))
-    for _ in range(4):
-        best_a = _ternary_min(lambda a: delta(best_s, a), 0.0, 1.0)
-        best_s = _ternary_min(lambda s: delta(s, best_a), 0.0, 1.0)
-    test = InvariantTest(sigma=best_s, alpha_coef=best_a)
+    The bound max{(sigma+alpha)/2, 1-sigma} grows with alpha, so alpha = 0;
+    then sigma/2 = 1 - sigma balances the two terms, so sigma = 2/3."""
+    test = InvariantTest(sigma=2 / 3, alpha_coef=0.0)
     return test, delta_closed_form(test)
 
 

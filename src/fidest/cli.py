@@ -200,37 +200,27 @@ def cmd_general(args) -> dict:
                    started)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for sizes and counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _number(convert, accept, what: str):
+    """argparse type that parses text with ``convert`` (int or float) and
+    rejects a value failing ``accept`` as not a ``what``."""
+    kind = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{value} is not a {what}")
+        return value
+    return parse
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for real inputs: a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for tolerances: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
-    return value
+# sizes and counts, real inputs, tolerances
+_positive_int = _number(int, lambda v: v >= 1, "positive integer")
+_finite_float = _number(float, math.isfinite, "finite number")
+_positive_float = _number(float, lambda v: math.isfinite(v) and v > 0,
+                          "positive finite number")
 
 
 class _UsageError(Exception):

@@ -25,6 +25,7 @@ _MAX_ROUNDS = 80  # cutting-plane rounds before solve_minimax gives up
 _START_ANGLES = 9  # evenly spaced grid angles in the LP's first working set
 _MAX_SAMPLES = 1029  # largest m whose binomial coefficients are finite floats
 _ZOOM_POINTS = 17  # evenly spaced samples per bracket in each polish step
+_SCAN_SAMPLES = 2049  # evenly spaced angles of the worst-angle scan
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,8 +61,8 @@ def beta_for_angle(dec: symmetry.IsotypicDecomposition,
                    emb: symmetry.SymmetricEmbedding, gamma: float) -> np.ndarray:
     """Block weights of the canonical n-copy pair at angle gamma."""
     pi, tau = canonical_pair(dec.d, gamma)
-    v = np.kron(symmetry.embed_state_power(pi, dec.n, emb),
-                symmetry.embed_state_power(tau, dec.n, emb))
+    v = np.kron(symmetry.embed_state_power(pi, emb),
+                symmetry.embed_state_power(tau, emb))
     return np.array([float(np.real(v.conj() @ p @ v)) for p in dec.projectors])
 
 
@@ -78,7 +79,7 @@ class CoefficientMatrix:
         if a.shape != (self.m + 1, self.n + 1):
             raise ValueError(
                 f"alpha shape {a.shape} != {(self.m + 1, self.n + 1)}")
-        if float(a.min()) < -1e-12 or float(a.max()) > 1.0 + 1e-12:
+        if not (a.min() >= -1e-12 and a.max() <= 1.0 + 1e-12):
             raise ValueError("alpha entries outside [0, 1]")
         colsums = a.sum(axis=0)
         if float(np.max(np.abs(colsums - 1.0))) > 1e-10:
@@ -216,9 +217,10 @@ def first_sample_marginal(coeffs: CoefficientMatrix) -> CoefficientMatrix:
                              alpha=np.vstack([1.0 - one_row, one_row]))
 
 
-def _solve_on_grid(inst: GeneralInstance, grid: np.ndarray,
-                   poly: np.ndarray) -> tuple[np.ndarray, float]:
-    """LP over the given angle grid; returns raw coefficients and optimum.
+def _solve_on_grid(poly: np.ndarray, m: int,
+                   grid: np.ndarray) -> tuple[np.ndarray, float]:
+    """LP over the given angle grid for m samples and the block weights
+    ``poly`` of beta_polynomials; returns raw coefficients and optimum.
 
     Variables are alpha[k, l] (flattened), one slack s[g, k] >= 0 per angle
     and outcome, and the worst-case bound t. Every column of alpha and the
@@ -229,8 +231,7 @@ def _solve_on_grid(inst: GeneralInstance, grid: np.ndarray,
     n+1 rows. HiGHS gets the model through milp without integer variables;
     its answer must meet every bound and row to 1e-9.
     """
-    m, n = inst.m, inst.n
-    n_out, n_blk, n_grid = m + 1, n + 1, grid.size
+    n_out, n_blk, n_grid = m + 1, poly.shape[0], grid.size
     n_alpha = n_out * n_blk
     n_var = n_alpha + n_out * n_grid + 1
     t_idx = n_var - 1
@@ -271,7 +272,7 @@ def _solve_on_grid(inst: GeneralInstance, grid: np.ndarray,
     residual = max(np.max(lo - z), np.max(z - hi))
     if not residual <= 1e-9:
         raise RuntimeError(f"LP solution violates its constraints by {residual:.3g}")
-    return res.x[:n_alpha].reshape(m + 1, n + 1), float(res.fun)
+    return res.x[:n_alpha].reshape(n_out, n_blk), float(res.fun)
 
 
 def _sanitize(alpha: np.ndarray) -> np.ndarray:
@@ -286,9 +287,8 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return (values >= padded[:-2]) & (values > padded[2:])
 
 
-def _violated_angles(inst: GeneralInstance, alpha: np.ndarray,
-                     poly: np.ndarray, threshold: float,
-                     samples: int = 2049) -> tuple[np.ndarray, np.ndarray]:
+def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
+                     threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Continuous-angle local maximizers of the L1 error: every local maximum
     of a dense sample scan above ``threshold``, and the global one, polished
     together by zooming into their brackets. Each zoom step samples every
@@ -296,15 +296,15 @@ def _violated_angles(inst: GeneralInstance, alpha: np.ndarray,
     the two neighbours of the best one, until every bracket is narrower than
     1e-12. Returns the angles and their errors."""
     def err(gammas):
-        return _l1_errors(alpha, poly, inst.m, gammas)
+        return _l1_errors(alpha, poly, m, gammas)
 
-    gammas = np.linspace(0.0, math.pi / 2, samples)
+    gammas = np.linspace(0.0, math.pi / 2, _SCAN_SAMPLES)
     values = err(gammas)
     peak = _local_maxima(values) & (values > threshold)
     peak[int(np.argmax(values))] = True
     idx = np.flatnonzero(peak)
     lo = gammas[np.maximum(idx - 1, 0)]
-    hi = gammas[np.minimum(idx + 1, samples - 1)]
+    hi = gammas[np.minimum(idx + 1, _SCAN_SAMPLES - 1)]
     a, b = lo, hi
     steps = np.linspace(0.0, 1.0, _ZOOM_POINTS)
     cols = np.arange(idx.size)
@@ -345,14 +345,14 @@ def solve_minimax(inst: GeneralInstance,
     for _ in range(_MAX_ROUNDS):
         while True:  # each pass adds a grid angle, so at most grid.size passes
             alpha, t = _solve_on_grid(
-                inst, np.union1d(grid[active], added), poly)
+                poly, inst.m, np.union1d(grid[active], added))
             grid_errors = _l1_errors(alpha, poly, inst.m, grid)
             level = max(t, float(np.max(grid_errors[active]))) + 1e-12
             new = _local_maxima(grid_errors) & (grid_errors > level) & ~active
             if not new.any():
                 break
             active |= new
-        angles, errors = _violated_angles(inst, alpha, poly, t + refine_tol)
+        angles, errors = _violated_angles(alpha, poly, inst.m, t + refine_tol)
         if np.max(errors) <= t + refine_tol:
             break
         added = np.unique(np.concatenate([added, angles[errors > t + refine_tol]]))

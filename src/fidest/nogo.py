@@ -9,6 +9,7 @@ pairs, 0 on orthogonal pairs).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -102,10 +103,7 @@ def vote_probability(rho, pi, tau, rule: DecisionRule) -> float:
 def _probe_pairs(d: int):
     """Deterministic (sigma1, sigma2, pi, tau) probes that expose each
     single-coordinate deviation of the decision rule."""
-    e0 = np.zeros(d, dtype=complex)
-    e0[0] = 1.0
-    e1 = np.zeros(d, dtype=complex)
-    e1[1] = 1.0
+    e0, e1 = np.eye(d, dtype=complex)[:2]
     return [
         (e0, e0, e0, e0),  # equal pair: vote probability is p11
         (e0, e0, e0, e1),  # orthogonal pair activating p10
@@ -144,20 +142,18 @@ def forcing_check(rule: DecisionRule, trials: int, seed,
             return ForcingCounterexample(rho=rho, pi=pi, tau=tau, deviation=dev)
         return None
 
-    used = 0
-    for s1, s2, pv, tv in _probe_pairs(d):
-        if used >= trials:
-            break
-        used += 1
-        found = attempt(s1, s2, pv, tv)
-        if found is not None:
-            return found
-    while used < trials:
-        used += 1
-        s1, s2, pv = (qcore.haar_random_state(d, rng) for _ in range(3))
-        # Cover the equal-pair case explicitly on alternating trials.
-        tv = pv if used % 2 == 0 else qcore.haar_random_state(d, rng)
-        found = attempt(s1, s2, pv, tv)
+    probes = _probe_pairs(d)
+
+    def haar_inputs():
+        for trial in itertools.count(len(probes) + 1):
+            s1, s2, pv = (qcore.haar_random_state(d, rng) for _ in range(3))
+            # Cover the equal-pair case explicitly on alternating trials.
+            tv = pv if trial % 2 == 0 else qcore.haar_random_state(d, rng)
+            yield s1, s2, pv, tv
+
+    for inputs in itertools.islice(itertools.chain(probes, haar_inputs()),
+                                   trials):
+        found = attempt(*inputs)
         if found is not None:
             return found
     raise RuntimeError(
@@ -187,10 +183,7 @@ def theorem_one_check(t, seed=0) -> ViolationCertificate:
     p_sym, _ = symmetry.sym_antisym_projectors(d)
     gap = float(np.linalg.norm(p_sym - p_sym @ a @ p_sym, 2))
     if gap <= EQUAL_PAIR_TOL:
-        e0 = np.zeros(d, dtype=complex)
-        e0[0] = 1.0
-        e1 = np.zeros(d, dtype=complex)
-        e1[1] = 1.0
+        e0, e1 = np.eye(d, dtype=complex)[:2]
         v = np.kron(e0, e1)
         value = float(np.real(v.conj() @ a @ v))
         return ViolationCertificate(kind="orthogonal_pair_fails", pi=e0,

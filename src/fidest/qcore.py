@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-ATOL_HERMITIAN = 1e-12
+ATOL_HERMITIAN = 1e-10
 ATOL_NORM = 1e-12
 ATOL_EIGENVALUE = 1e-10
 ATOL_DIST_SUM = 1e-10
@@ -38,9 +38,9 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = ATOL_HERMITIAN) -> bool:
+def is_hermitian(m) -> bool:
     a = as_operator(m)
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+    return float(np.max(np.abs(a - a.conj().T))) <= ATOL_HERMITIAN
 
 
 def check_state(v, tol: float = ATOL_NORM) -> np.ndarray:
@@ -56,7 +56,7 @@ def check_state(v, tol: float = ATOL_NORM) -> np.ndarray:
 def check_effect(t) -> np.ndarray:
     """Validate a test operator: Hermitian with spectrum inside [0, 1]."""
     a = as_operator(t)
-    if not is_hermitian(a, 1e-10):
+    if not is_hermitian(a):
         raise ValueError("test operator is not Hermitian")
     w = np.linalg.eigvalsh((a + a.conj().T) / 2)
     if (float(w.min()) < -ATOL_EIGENVALUE
@@ -68,12 +68,11 @@ def check_effect(t) -> np.ndarray:
 
 def check_outcome_distribution(p) -> np.ndarray:
     """Validate a probability vector (entries in [0,1], summing to 1), or a
-    2-D stack of them, one per row."""
+    2-D stack of them, one per row; NaN entries are out of range."""
     a = np.asarray(p, dtype=float)
     if a.ndim not in (1, 2) or a.size == 0:
         raise ValueError("expected a 1-D probability vector or a 2-D stack")
-    if (float(a.min()) < -ATOL_DIST_ENTRY
-            or float(a.max()) > 1.0 + ATOL_DIST_ENTRY):
+    if not (a.min() >= -ATOL_DIST_ENTRY and a.max() <= 1.0 + ATOL_DIST_ENTRY):
         raise ValueError(f"probabilities out of range: {a!r}")
     sums = np.atleast_1d(a.sum(axis=-1))
     s = float(sums[np.argmax(np.abs(sums - 1.0))])

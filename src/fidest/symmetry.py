@@ -81,14 +81,12 @@ def symmetric_embedding(d: int, n: int) -> SymmetricEmbedding:
     """Build the symmetric-subspace basis for n copies of a d-level system.
 
     Basis columns are ordered by the nondecreasing index word of each
-    occupation pattern (all-zeros word first), which keeps file I/O
-    deterministic.
+    occupation pattern (all-zeros word first).
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
     words = list(itertools.combinations_with_replacement(range(d), n))
-    dim_plus = math.comb(n + d - 1, d - 1)
-    assert len(words) == dim_plus
+    dim_plus = len(words)
     basis = np.zeros((d ** n, dim_plus), dtype=complex)
     occupations = []
     for col, word in enumerate(words):
@@ -104,16 +102,16 @@ def symmetric_embedding(d: int, n: int) -> SymmetricEmbedding:
                               occupations=tuple(occupations), basis=basis)
 
 
-def embed_state_power(s, n: int, emb: SymmetricEmbedding) -> np.ndarray:
-    """Coordinates of |s>^(x)n in the occupation-number basis of H+^n."""
+def embed_state_power(s, emb: SymmetricEmbedding) -> np.ndarray:
+    """Coordinates of |s>^(x)n in the occupation-number basis of H+^n,
+    n = emb.n."""
     v = qcore.check_state(s)
-    if v.size != emb.d or n != emb.n:
+    if v.size != emb.d:
         raise ValueError(
-            f"state/copies ({v.size}, {n}) do not match embedding "
-            f"({emb.d}, {emb.n})")
+            f"state dimension {v.size} does not match embedding dimension {emb.d}")
     out = np.empty(emb.dim_plus, dtype=complex)
     for col, occ in enumerate(emb.occupations):
-        mult = math.factorial(n)
+        mult = math.factorial(emb.n)
         for k in occ:
             mult //= math.factorial(k)
         out[col] = math.sqrt(mult) * np.prod(v ** np.array(occ))

@@ -82,6 +82,12 @@ class TestDeltaNumeric:
 
 
 class TestOptimizeInvariantTest:
+    def test_exact_optimum(self):
+        t, delta = approx.optimize_invariant_test()
+        assert t.sigma == 2 / 3
+        assert t.alpha_coef == 0.0
+        assert delta == approx.delta_closed_form(t)
+
     def test_reaches_known_optimum(self):
         t, delta = approx.optimize_invariant_test()
         assert delta == pytest.approx(1 / 3, abs=1e-9)

@@ -76,6 +76,12 @@ class TestAchievedDistribution:
         with pytest.raises(ValueError, match="coefficients"):
             general.achieved_distribution(inst, coeffs, 0.3)
 
+    def test_rejects_nan_angle(self):
+        inst = general.make_instance(2, 1, 1, grid_points=17)
+        coeffs = general.CoefficientMatrix(m=1, n=1, alpha=np.eye(2))
+        with pytest.raises(ValueError, match="out of range"):
+            general.achieved_distribution(inst, coeffs, math.nan)
+
 
 class TestDualRouteReduction:
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
@@ -142,9 +148,8 @@ class TestSolveMinimax:
         coarse = general.make_instance(2, 1, 2, grid_points=33)
         fine = general.make_instance(2, 1, 2, grid_points=65)
         assert np.all(np.isin(coarse.gamma_grid, fine.gamma_grid))
-        _, v_coarse = general._solve_on_grid(coarse, coarse.gamma_grid,
-                                             coarse.poly)
-        _, v_fine = general._solve_on_grid(fine, fine.gamma_grid, fine.poly)
+        _, v_coarse = general._solve_on_grid(coarse.poly, 2, coarse.gamma_grid)
+        _, v_fine = general._solve_on_grid(fine.poly, 2, fine.gamma_grid)
         assert v_fine >= v_coarse - 1e-9
 
     def test_two_copies_embedding_bound(self):
@@ -267,7 +272,7 @@ class TestCuttingPlanes:
         # the LP bounds 2 sum_k (f_k - p_k)^+, which is the L1 distance
         # only because f and p both sum to 1
         inst = general.make_instance(d, n, m)
-        alpha, t = general._solve_on_grid(inst, inst.gamma_grid, inst.poly)
+        alpha, t = general._solve_on_grid(inst.poly, m, inst.gamma_grid)
         errors = general._l1_errors(alpha, inst.poly, m, inst.gamma_grid)
         assert t == pytest.approx(float(np.max(errors)), abs=1e-8)
 
@@ -281,10 +286,11 @@ class TestCuttingPlanes:
         assert float(np.max(general.error_profile(dense, coeffs))) <= value + tol
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_every_peak_is_polished(self, seed):
+    def test_every_peak_is_polished(self, seed, monkeypatch):
         inst = general.make_instance(2, 3, 8)
         alpha = random_coefficients(8, 3, np.random.default_rng(seed)).alpha
         samples = 257
+        monkeypatch.setattr(general, "_SCAN_SAMPLES", samples)
         scan = np.linspace(0.0, math.pi / 2, samples)
         values = general._l1_errors(alpha, inst.poly, 8, scan)
         interior = np.flatnonzero((values[1:-1] >= values[:-2])
@@ -292,8 +298,8 @@ class TestCuttingPlanes:
         threshold = float(np.min(values[interior])) - 1e-3
         above = interior[values[interior] > threshold]
         assert above.size >= 2
-        angles, errors = general._violated_angles(inst, alpha, inst.poly,
-                                                  threshold, samples=samples)
+        angles, errors = general._violated_angles(alpha, inst.poly, 8,
+                                                  threshold)
         assert angles.size >= above.size
         assert np.array_equal(
             errors, general._l1_errors(alpha, inst.poly, 8, angles))
@@ -380,7 +386,7 @@ class TestGridLP:
         if working_set == "irregular":
             grid = np.union1d(grid[[0, 5, 17, 40, 63, 64, 100, 128]],
                               [0.0123, 0.4567, 0.9, 1.3579])
-        alpha, t = general._solve_on_grid(inst, grid, inst.poly)
+        alpha, t = general._solve_on_grid(inst.poly, m, grid)
         ref_alpha, ref_t = linprog_oracle(inst, grid)
         assert t == pytest.approx(ref_t, abs=1e-12)
         assert np.max(np.abs(alpha - ref_alpha)) <= 1e-12
@@ -391,7 +397,7 @@ class TestGridLP:
         monkeypatch.setattr(general, "milp", lambda *args, **kwargs: failed)
         inst = general.make_instance(2, 2, 4)
         with pytest.raises(RuntimeError, match="status 1"):
-            general._solve_on_grid(inst, inst.gamma_grid, inst.poly)
+            general._solve_on_grid(inst.poly, 4, inst.gamma_grid)
 
     @pytest.mark.parametrize("corrupt", ["row", "nan"])
     def test_infeasible_answer_raises(self, monkeypatch, corrupt):
@@ -406,7 +412,7 @@ class TestGridLP:
         monkeypatch.setattr(general, "milp", broken)
         inst = general.make_instance(2, 2, 4)
         with pytest.raises(RuntimeError, match="violates its constraints"):
-            general._solve_on_grid(inst, inst.gamma_grid, inst.poly)
+            general._solve_on_grid(inst.poly, 4, inst.gamma_grid)
 
 
 class TestLazyGrid:
@@ -419,8 +425,8 @@ class TestLazyGrid:
         inst = general.make_instance(d, n, m, grid_points=grid_points)
         coeffs, value = general.solve_minimax(inst)
         assert float(np.max(general.error_profile(inst, coeffs))) <= value + 1e-12
-        _, full_grid_optimum = general._solve_on_grid(inst, inst.gamma_grid,
-                                                      inst.poly)
+        _, full_grid_optimum = general._solve_on_grid(inst.poly, m,
+                                                      inst.gamma_grid)
         assert value >= full_grid_optimum - 1e-12
 
     # recorded with every grid angle in every LP
@@ -503,6 +509,14 @@ class TestCoefficientMatrix:
         with pytest.raises(ValueError, match="entries"):
             general.CoefficientMatrix(m=1, n=1,
                                       alpha=np.array([[1.1, 0.5], [-0.1, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="entries"):
+            general.CoefficientMatrix(m=1, n=1, alpha=np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="entries"):
+            general.CoefficientMatrix(m=1, n=1,
+                                      alpha=np.array([[bad, 0.5], [0.0, 0.5]]))
 
     def test_marginal_requires_two_samples(self):
         coeffs = general.CoefficientMatrix(m=1, n=1, alpha=np.eye(2))

@@ -149,6 +149,29 @@ class TestForcingCheck:
                          - qcore.trace_fidelity(found.pi, found.tau))
         assert recomputed == pytest.approx(found.deviation, abs=1e-12)
 
+    def test_last_probe_needs_four_trials(self):
+        # only the fourth probe, e1 (x) e0 prepared for (e0, e1), sees p00
+        rule = nogo.DecisionRule(1.0, 0.0, 0.0, 0.5)
+        with pytest.raises(RuntimeError, match="3 trials"):
+            nogo.forcing_check(rule, 3, 0)
+        found = nogo.forcing_check(rule, 4, 0)
+        e0, e1 = np.eye(2)
+        assert np.array_equal(found.rho, np.diag(np.kron(e1, e0)))
+        assert np.array_equal(found.pi, np.diag(e0))
+        assert np.array_equal(found.tau, np.diag(e1))
+        assert found.deviation == 0.5
+
+    def test_haar_search_after_probes(self):
+        # every probe deviates by at most 1e-7 < 1e-6, so a Haar
+        # preparation must find the counterexample
+        rule = nogo.DecisionRule(1.0, 1e-7, 0.0, 0.0)
+        found = nogo.forcing_check(rule, 50, 3)
+        recomputed = abs(nogo.vote_probability(found.rho, found.pi, found.tau, rule)
+                         - qcore.trace_fidelity(found.pi, found.tau))
+        assert recomputed == pytest.approx(found.deviation, abs=1e-12)
+        assert found.deviation == pytest.approx(0.4505, abs=1e-4)
+        assert np.count_nonzero(np.abs(found.rho) > 1e-12) > 2  # not a probe
+
     def test_deterministic_given_seed(self):
         rule = nogo.DecisionRule(0.8, 0.05, 0.0, 0.1)
         a = nogo.forcing_check(rule, 500, 42)

@@ -164,6 +164,13 @@ class TestValidators:
         with pytest.raises(ValueError, match="1-D"):
             qcore.check_outcome_distribution(np.ones((1, 1, 1)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_distribution_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            qcore.check_outcome_distribution([bad, 1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            qcore.check_outcome_distribution([[0.5, 0.5], [bad, 1.0]])
+
 
 class TestMatrixJson:
     def test_round_trip_matrix(self):

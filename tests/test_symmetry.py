@@ -100,17 +100,17 @@ class TestEmbedStatePower:
     def test_single_copy(self):
         emb = symmetry.symmetric_embedding(2, 1)
         s = qcore.haar_random_state(2, 0)
-        assert np.max(np.abs(symmetry.embed_state_power(s, 1, emb) - s)) < 1e-15
+        assert np.max(np.abs(symmetry.embed_state_power(s, emb) - s)) < 1e-15
 
     def test_basis_state_power(self):
         emb = symmetry.symmetric_embedding(2, 2)
-        out = symmetry.embed_state_power([1.0, 0.0], 2, emb)
+        out = symmetry.embed_state_power([1.0, 0.0], emb)
         assert np.max(np.abs(out - np.array([1.0, 0.0, 0.0]))) < 1e-15
 
     def test_plus_state_power(self):
         emb = symmetry.symmetric_embedding(2, 2)
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
-        out = symmetry.embed_state_power(plus, 2, emb)
+        out = symmetry.embed_state_power(plus, emb)
         expected = np.array([0.5, 1 / math.sqrt(2), 0.5])
         assert np.max(np.abs(out - expected)) < 1e-14
 
@@ -120,14 +120,14 @@ class TestEmbedStatePower:
         for seed in range(3):
             s = qcore.haar_random_state(d, seed)
             direct = emb.basis.conj().T @ qcore.kron_power(s, n)
-            closed = symmetry.embed_state_power(s, n, emb)
+            closed = symmetry.embed_state_power(s, emb)
             assert np.max(np.abs(direct - closed)) < 1e-12
             assert np.linalg.norm(closed) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         emb = symmetry.symmetric_embedding(2, 2)
         with pytest.raises(ValueError, match="match"):
-            symmetry.embed_state_power([1.0, 0.0, 0.0], 2, emb)
+            symmetry.embed_state_power([1.0, 0.0, 0.0], emb)
 
 
 def dense_collective_generators(emb):
@@ -258,8 +258,8 @@ class TestTwirl:
 
 def _pair_weights(dec, emb, phi, theta):
     """Block weights v^dagger S_l v of v = phi^(x)n (x) theta^(x)n."""
-    v = np.kron(symmetry.embed_state_power(phi, dec.n, emb),
-                symmetry.embed_state_power(theta, dec.n, emb))
+    v = np.kron(symmetry.embed_state_power(phi, emb),
+                symmetry.embed_state_power(theta, emb))
     return np.array([float(np.real(v.conj() @ p @ v)) for p in dec.projectors])
 
 

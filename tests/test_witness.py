@@ -52,6 +52,15 @@ class TestConstructWitness:
         assert vals.min() == pytest.approx(-1.0, abs=1e-12)
         assert vals.max() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_haar_unitary_basis_gives_swap(self, d):
+        # the columns of a unitary on d^2, reshaped to d x d, are a
+        # trace-orthonormal basis with no structure of its own
+        u = qcore.haar_random_unitary(d * d, d)
+        basis = [u[:, s].reshape(d, d) for s in range(d * d)]
+        w = witness.construct_witness(basis)
+        assert np.max(np.abs(w - symmetry.swap_operator(d))) < 1e-12
+
     def test_rejects_non_orthonormal_basis(self):
         bad = qcore.matrix_unit_basis(2)
         bad[0] = bad[0] * 2.0

@@ -99,7 +99,9 @@ def partial_info_check(trials: int, seed, d: int = 2) -> PartialInfoReport:
     phis = qcore.haar_random_states(d, trials, rng)
     thetas = qcore.haar_random_states(d, trials, rng)
     pairs = np.einsum("si,sj->sij", phis, thetas).reshape(trials, d * d)
-    achieved = np.real(np.einsum("sa,ab,sb->s", pairs.conj(), a, pairs))
+    # Re<v|A v> as a real dot product of the float views: no conjugate copy
+    achieved = np.einsum("sk,sk->s", pairs.view(float),
+                         (pairs @ a.T).view(float))
     overlaps = np.abs(np.einsum("si,si->s", phis.conj(), thetas)) ** 2
     identity_dev = float(np.max(np.abs(achieved - (1.0 + overlaps) / 3.0)))
     decided_mask = np.abs(overlaps - 0.5) > 1e-9

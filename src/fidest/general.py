@@ -14,6 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import milp
@@ -49,12 +50,8 @@ def canonical_pair(d: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic state pair with squared overlap cos^2(gamma)."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    pi = np.zeros(d, dtype=complex)
-    pi[0] = 1.0
-    tau = np.zeros(d, dtype=complex)
-    tau[0] = math.cos(gamma)
-    tau[1] = math.sin(gamma)
-    return pi, tau
+    e0, e1 = np.eye(d, dtype=complex)[:2]
+    return e0, math.cos(gamma) * e0 + math.sin(gamma) * e1
 
 
 def beta_for_angle(dec: symmetry.IsotypicDecomposition,
@@ -166,15 +163,27 @@ def _block_weights(poly: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     return np.vander(x, poly.shape[1], increasing=True) @ poly.T
 
 
-def _l1_errors(alpha: np.ndarray, poly: np.ndarray, m: int,
-               gammas: np.ndarray, check: bool = False) -> np.ndarray:
+class _AngleTable(NamedTuple):
+    """Angles with their block weights (G, n+1) and binomial targets (G, m+1)."""
+    gammas: np.ndarray
+    beta: np.ndarray
+    target: np.ndarray
+
+
+def _angle_table(poly: np.ndarray, m: int, gammas: np.ndarray) -> _AngleTable:
+    return _AngleTable(gammas, _block_weights(poly, gammas),
+                       _target_distributions(m, gammas))
+
+
+def _l1_errors(alpha: np.ndarray, table: _AngleTable,
+               check: bool = False) -> np.ndarray:
     """L1 distance between alpha . beta(gamma) and the binomial target at
-    every angle of ``gammas``; with ``check``, every achieved distribution
+    every angle of ``table``; with ``check``, every achieved distribution
     is validated by qcore.check_outcome_distribution."""
-    f = _block_weights(poly, gammas) @ alpha.T
+    f = table.beta @ alpha.T
     if check:
         qcore.check_outcome_distribution(f)
-    return np.abs(f - _target_distributions(m, gammas)).sum(axis=1)
+    return np.abs(f - table.target).sum(axis=1)
 
 
 def achieved_distribution(inst: GeneralInstance, coeffs: CoefficientMatrix,
@@ -195,8 +204,8 @@ def _check_shape(inst: GeneralInstance, coeffs: CoefficientMatrix) -> None:
 def error_profile(inst: GeneralInstance, coeffs: CoefficientMatrix) -> np.ndarray:
     """L1 distance to the binomial target at every grid angle."""
     _check_shape(inst, coeffs)
-    return _l1_errors(coeffs.alpha, beta_polynomials(inst), inst.m,
-                      inst.gamma_grid, check=True)
+    table = _angle_table(beta_polynomials(inst), inst.m, inst.gamma_grid)
+    return _l1_errors(coeffs.alpha, table, check=True)
 
 
 def effect_operators(inst: GeneralInstance, coeffs: CoefficientMatrix) -> list[np.ndarray]:
@@ -288,23 +297,24 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
 
 
 def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
-                     threshold: float) -> tuple[np.ndarray, np.ndarray]:
+                     threshold: float,
+                     scan: _AngleTable) -> tuple[np.ndarray, np.ndarray]:
     """Continuous-angle local maximizers of the L1 error: every local maximum
-    of a dense sample scan above ``threshold``, and the global one, polished
-    together by zooming into their brackets. Each zoom step samples every
-    bracket at _ZOOM_POINTS evenly spaced angles in one evaluation and keeps
-    the two neighbours of the best one, until every bracket is narrower than
-    1e-12. Returns the angles and their errors."""
+    of the dense sorted ``scan`` above ``threshold``, and the global one,
+    polished together by zooming into their brackets. Each zoom step samples
+    every bracket at _ZOOM_POINTS evenly spaced angles in one evaluation and
+    keeps the two neighbours of the best one, until every bracket is narrower
+    than 1e-12. Returns the angles and their errors."""
     def err(gammas):
-        return _l1_errors(alpha, poly, m, gammas)
+        return _l1_errors(alpha, _angle_table(poly, m, gammas))
 
-    gammas = np.linspace(0.0, math.pi / 2, _SCAN_SAMPLES)
-    values = err(gammas)
+    gammas = scan.gammas
+    values = _l1_errors(alpha, scan)
     peak = _local_maxima(values) & (values > threshold)
     peak[int(np.argmax(values))] = True
     idx = np.flatnonzero(peak)
     lo = gammas[np.maximum(idx - 1, 0)]
-    hi = gammas[np.minimum(idx + 1, _SCAN_SAMPLES - 1)]
+    hi = gammas[np.minimum(idx + 1, gammas.size - 1)]
     a, b = lo, hi
     steps = np.linspace(0.0, 1.0, _ZOOM_POINTS)
     cols = np.arange(idx.size)
@@ -338,6 +348,9 @@ def solve_minimax(inst: GeneralInstance,
         raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
     poly = beta_polynomials(inst)
     grid = inst.gamma_grid
+    on_grid = _angle_table(poly, inst.m, grid)
+    scan = _angle_table(poly, inst.m,
+                        np.linspace(0.0, math.pi / 2, _SCAN_SAMPLES))
     active = np.zeros(grid.size, dtype=bool)
     active[np.round(np.linspace(0, grid.size - 1,
                                 min(_START_ANGLES, grid.size))).astype(int)] = True
@@ -346,13 +359,14 @@ def solve_minimax(inst: GeneralInstance,
         while True:  # each pass adds a grid angle, so at most grid.size passes
             alpha, t = _solve_on_grid(
                 poly, inst.m, np.union1d(grid[active], added))
-            grid_errors = _l1_errors(alpha, poly, inst.m, grid)
+            grid_errors = _l1_errors(alpha, on_grid)
             level = max(t, float(np.max(grid_errors[active]))) + 1e-12
             new = _local_maxima(grid_errors) & (grid_errors > level) & ~active
             if not new.any():
                 break
             active |= new
-        angles, errors = _violated_angles(alpha, poly, inst.m, t + refine_tol)
+        angles, errors = _violated_angles(alpha, poly, inst.m, t + refine_tol,
+                                          scan)
         if np.max(errors) <= t + refine_tol:
             break
         added = np.unique(np.concatenate([added, angles[errors > t + refine_tol]]))
@@ -361,6 +375,7 @@ def solve_minimax(inst: GeneralInstance,
             f"grid refinement did not converge within {_MAX_ROUNDS} rounds "
             f"(tolerance {refine_tol})")
     coeffs = CoefficientMatrix(m=inst.m, n=inst.n, alpha=_sanitize(alpha))
-    profile = _l1_errors(coeffs.alpha, poly, inst.m,
-                         np.union1d(grid, added), check=True)
+    profile = _l1_errors(
+        coeffs.alpha, _angle_table(poly, inst.m, np.union1d(grid, added)),
+        check=True)
     return coeffs, float(np.max(profile))

@@ -126,8 +126,11 @@ def haar_random_states(dim: int, count: int, seed) -> np.ndarray:
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be >= 1")
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    v = np.empty((count, dim), dtype=complex)
+    v.real = rng.normal(size=(count, dim))
+    v.imag = rng.normal(size=(count, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
 
 
 def haar_random_unitary(dim: int, seed) -> np.ndarray:
@@ -142,14 +145,9 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
 
 
 def matrix_unit_basis(d: int) -> list[np.ndarray]:
-    """The d^2 matrix units E_ij, orthonormal under the trace inner product."""
-    out = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            out.append(e)
-    return out
+    """The d^2 matrix units E_ij, orthonormal under the trace inner product,
+    in row-major order of (i, j)."""
+    return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
 
 
 def gell_mann_basis(d: int) -> list[np.ndarray]:
@@ -158,18 +156,12 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
     if d < 1:
         raise ValueError("d must be >= 1")
     out = [np.eye(d, dtype=complex) / math.sqrt(d)]
-    for k in range(1, d):
-        for j in range(k):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            out.append(m / math.sqrt(2))
-    for k in range(1, d):
-        for j in range(k):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            out.append(m / math.sqrt(2))
+    for upper, lower in ((1.0, 1.0), (-1.0j, 1.0j)):  # symmetric, antisymmetric
+        for k in range(1, d):
+            for j in range(k):
+                m = np.zeros((d, d), dtype=complex)
+                m[j, k], m[k, j] = upper, lower
+                out.append(m / math.sqrt(2))
     for ell in range(1, d):
         m = np.zeros((d, d), dtype=complex)
         m[np.arange(ell), np.arange(ell)] = 1.0

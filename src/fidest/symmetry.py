@@ -36,11 +36,9 @@ def swap_operator(d: int) -> np.ndarray:
     """The operator exchanging the two tensor factors of H (x) H."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
+    # SWAP[(i, j), (k, l)] = delta_il delta_jk: the identity with k, l swapped
+    eye = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def sym_antisym_projectors(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,13 +67,6 @@ class SymmetricEmbedding:
         self.basis.setflags(write=False)
 
 
-def _occupation_of(word: tuple[int, ...], d: int) -> tuple[int, ...]:
-    occ = [0] * d
-    for x in word:
-        occ[x] += 1
-    return tuple(occ)
-
-
 @lru_cache(maxsize=None)
 def symmetric_embedding(d: int, n: int) -> SymmetricEmbedding:
     """Build the symmetric-subspace basis for n copies of a d-level system.
@@ -90,14 +81,11 @@ def symmetric_embedding(d: int, n: int) -> SymmetricEmbedding:
     basis = np.zeros((d ** n, dim_plus), dtype=complex)
     occupations = []
     for col, word in enumerate(words):
-        occupations.append(_occupation_of(word, d))
+        occupations.append(tuple(map(word.count, range(d))))
         perms = set(itertools.permutations(word))
         amp = 1.0 / math.sqrt(len(perms))
         for p in perms:
-            idx = 0
-            for x in p:
-                idx = idx * d + x
-            basis[idx, col] = amp
+            basis[np.ravel_multi_index(p, (d,) * n), col] = amp
     return SymmetricEmbedding(d=d, n=n, dim_plus=dim_plus,
                               occupations=tuple(occupations), basis=basis)
 
@@ -138,15 +126,14 @@ def collective_generators(emb: SymmetricEmbedding) -> np.ndarray:
     column = {occ: col for col, occ in enumerate(emb.occupations)}
     out = np.zeros((d, d, emb.dim_plus, emb.dim_plus), dtype=complex)
     for col, occ in enumerate(emb.occupations):
-        for a_idx in range(d):
-            for b_idx in range(d):
-                if occ[b_idx] == 0:
-                    continue
-                moved = list(occ)
-                moved[b_idx] -= 1
-                moved[a_idx] += 1
-                out[a_idx, b_idx, column[tuple(moved)], col] = math.sqrt(
-                    occ[b_idx] * (occ[a_idx] + 1 - (a_idx == b_idx)))
+        for a_idx, b_idx in itertools.product(range(d), repeat=2):
+            if occ[b_idx] == 0:
+                continue
+            moved = list(occ)
+            moved[b_idx] -= 1
+            moved[a_idx] += 1
+            out[a_idx, b_idx, column[tuple(moved)], col] = math.sqrt(
+                occ[b_idx] * (occ[a_idx] + 1 - (a_idx == b_idx)))
     return out
 
 
@@ -214,11 +201,7 @@ def twirl(rho, dec: IsotypicDecomposition) -> np.ndarray:
     """Average over the collective unitary action: the invariant operator
     sum_l Tr(rho S_l) S_l / Tr(S_l)."""
     a = qcore.as_operator(rho)
-    dim = dec.space_dim
-    if a.shape[0] != dim:
-        raise ValueError(f"operator dimension {a.shape[0]} != {dim}")
-    out = np.zeros_like(a)
-    for p, block_dim in zip(dec.projectors, dec.dims):
-        weight = np.einsum("ij,ji->", a, p) / block_dim
-        out += weight * p
-    return out
+    if a.shape[0] != dec.space_dim:
+        raise ValueError(f"operator dimension {a.shape[0]} != {dec.space_dim}")
+    return sum(np.einsum("ij,ji->", a, p) / block_dim * p
+               for p, block_dim in zip(dec.projectors, dec.dims))

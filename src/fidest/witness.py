@@ -31,13 +31,14 @@ def construct_witness(basis) -> np.ndarray:
     d = mats[0].shape[0]
     if len(mats) != d * d or any(m.shape != (d, d) for m in mats):
         raise ValueError(f"expected {d * d} operators of shape ({d}, {d})")
-    gram = np.array([[np.trace(a.conj().T @ b) for b in mats] for a in mats])
-    if float(np.max(np.abs(gram - np.eye(d * d)))) > 1e-10:
+    stack = np.array(mats)
+    flat = stack.reshape(d * d, d * d)  # row s is X_s, flattened
+    gram = flat.conj() @ flat.T  # gram[s, t] = Tr(X_s^dagger X_t)
+    if not float(np.max(np.abs(gram - np.eye(d * d)))) <= 1e-10:
         raise ValueError("operator basis is not orthonormal under the trace inner product")
-    w = np.zeros((d * d, d * d), dtype=complex)
-    for x in mats:
-        w += np.kron(x.conj().T, x)
-    return w
+    # W[(i, k), (j, l)] = sum_s conj(X_s[j, i]) X_s[k, l], contracted over s
+    w = np.tensordot(stack.conj(), stack, axes=(0, 0))  # axes (j, i, k, l)
+    return w.transpose(1, 2, 0, 3).reshape(d * d, d * d)
 
 
 def estimator_map(rho, w) -> EstimatorOutput:
@@ -72,8 +73,7 @@ def build_entangled_state(p: float, alpha: float, beta: float,
             f"alpha^2 + beta^2 = {alpha * alpha + beta * beta!r}, expected 1")
     q = 1.0 - p
     sp, sq = math.sqrt(p), math.sqrt(q)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
+    e0, e1 = np.eye(2, dtype=complex)
     f0 = sp * e0 + np.exp(1j * delta) * sq * e1
     # <f0|f1> = 0 forces the e1 amplitude of f1 up to the stated overlaps.
     f1 = np.exp(1j * gamma) * sq * e0 - np.exp(1j * (gamma + delta)) * sp * e1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ class TestPartialInfoCheck:
         assert val(e0, e0) == pytest.approx(2 / 3, abs=1e-12)
         assert val(e0, e1) == pytest.approx(1 / 3, abs=1e-12)
         assert val(e0, plus) == pytest.approx(0.5, abs=1e-12)  # threshold fixed point
+
+    def test_memory_budget(self):
+        # a (trials, d^2) complex temporary beyond the pairs and their image
+        # under the test operator would push the peak past 40 MiB
+        approx.partial_info_check(10, seed=0)
+        tracemalloc.start()
+        try:
+            approx.partial_info_check(200_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2 ** 20
 
     def test_counts_are_consistent(self):
         report = approx.partial_info_check(500, seed=3)

@@ -23,6 +23,11 @@ def target(m, gamma):
     return general._target_distributions(m, [gamma])[0]
 
 
+def l1_errors(alpha, poly, m, gammas):
+    """L1 errors at every angle of ``gammas``, through a fresh angle table."""
+    return general._l1_errors(alpha, general._angle_table(poly, m, gammas))
+
+
 def worst_case(inst, coeffs):
     return float(general.error_profile(inst, coeffs).max())
 
@@ -273,7 +278,7 @@ class TestCuttingPlanes:
         # only because f and p both sum to 1
         inst = general.make_instance(d, n, m)
         alpha, t = general._solve_on_grid(inst.poly, m, inst.gamma_grid)
-        errors = general._l1_errors(alpha, inst.poly, m, inst.gamma_grid)
+        errors = l1_errors(alpha, inst.poly, m, inst.gamma_grid)
         assert t == pytest.approx(float(np.max(errors)), abs=1e-8)
 
     @pytest.mark.parametrize("d,n,m,tol", [(2, 1, 8, 1e-4), (2, 2, 4, 1e-4),
@@ -286,28 +291,28 @@ class TestCuttingPlanes:
         assert float(np.max(general.error_profile(dense, coeffs))) <= value + tol
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_every_peak_is_polished(self, seed, monkeypatch):
+    def test_every_peak_is_polished(self, seed):
         inst = general.make_instance(2, 3, 8)
         alpha = random_coefficients(8, 3, np.random.default_rng(seed)).alpha
         samples = 257
-        monkeypatch.setattr(general, "_SCAN_SAMPLES", samples)
         scan = np.linspace(0.0, math.pi / 2, samples)
-        values = general._l1_errors(alpha, inst.poly, 8, scan)
+        values = l1_errors(alpha, inst.poly, 8, scan)
         interior = np.flatnonzero((values[1:-1] >= values[:-2])
                                   & (values[1:-1] > values[2:])) + 1
         threshold = float(np.min(values[interior])) - 1e-3
         above = interior[values[interior] > threshold]
         assert above.size >= 2
-        angles, errors = general._violated_angles(alpha, inst.poly, 8,
-                                                  threshold)
+        angles, errors = general._violated_angles(
+            alpha, inst.poly, 8, threshold,
+            general._angle_table(inst.poly, 8, scan))
         assert angles.size >= above.size
         assert np.array_equal(
-            errors, general._l1_errors(alpha, inst.poly, 8, angles))
+            errors, l1_errors(alpha, inst.poly, 8, angles))
         for i in above:
             near = np.abs(angles - scan[i]) <= scan[1]
             assert near.any() and errors[near].max() >= values[i]
         dense = np.linspace(0.0, math.pi / 2, 20001)
-        assert errors.max() >= general._l1_errors(
+        assert errors.max() >= l1_errors(
             alpha, inst.poly, 8, dense).max() - 1e-9
         # every returned angle is as good as a fine scan of its bracket
         peaks = general._local_maxima(values) & (values > threshold)
@@ -317,12 +322,12 @@ class TestCuttingPlanes:
         for i, error in zip(idx, errors):
             bracket = np.linspace(scan[max(i - 1, 0)],
                                   scan[min(i + 1, samples - 1)], 401)
-            assert error >= general._l1_errors(
+            assert error >= l1_errors(
                 alpha, inst.poly, 8, bracket).max() - 1e-13
         # and no angle within 1e-6 of a returned one scores higher
         for angle, error in zip(angles, errors):
             window = np.linspace(angle - 1e-6, angle + 1e-6, 401)
-            assert error >= general._l1_errors(
+            assert error >= l1_errors(
                 alpha, inst.poly, 8, window).max() - 1e-13
 
     @pytest.mark.parametrize("d,n,m", [(2, 1, 8), (3, 4, 8)])

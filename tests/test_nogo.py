@@ -266,6 +266,17 @@ class TestTheoremOneCheck:
     def test_random_effects_always_certified(self, t, seed):
         assert nogo.theorem_one_check(t, seed=seed).verify(t)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(effects())
+    def test_equal_pair_gap_is_the_spectral_norm(self, t):
+        d = int(np.sqrt(t.shape[0]))
+        p_sym, _ = symmetry.sym_antisym_projectors(d)
+        norm = np.linalg.norm(p_sym - p_sym @ t @ p_sym, 2)
+        assert abs(nogo._equal_pair_gap(t, d) - norm) <= 1e-12
+        kind = ("orthogonal_pair_fails" if norm <= nogo.EQUAL_PAIR_TOL
+                else "equal_pair_fails")
+        assert nogo.theorem_one_check(t).kind == kind
+
     def test_rejects_invalid_operator(self):
         with pytest.raises(ValueError, match="spectrum"):
             nogo.theorem_one_check(2.0 * np.eye(4))

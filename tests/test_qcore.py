@@ -113,6 +113,17 @@ class TestHaarSampling:
         b = qcore.haar_random_state(4, 1234)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim,count,seed", [(1, 1, 0), (2, 5, 1),
+                                                (3, 200, 2), (9, 33, 12345)])
+    def test_states_match_reference_formula(self, dim, count, seed):
+        # certificates and partial-info reports depend on this exact stream
+        rng = np.random.default_rng(seed)
+        v = (rng.normal(size=(count, dim))
+             + 1j * rng.normal(size=(count, dim)))
+        expected = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(qcore.haar_random_states(dim, count, seed),
+                              expected)
+
     def test_mean_projector_concentrates(self):
         states = qcore.haar_random_states(2, 10 ** 4, 0)
         mean = np.einsum("si,sj->ij", states, states.conj()) / states.shape[0]

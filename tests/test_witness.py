@@ -67,6 +67,13 @@ class TestConstructWitness:
         with pytest.raises(ValueError, match="orthonormal"):
             witness.construct_witness(bad)
 
+    def test_rejects_nan_basis(self):
+        # NaN compares false with everything, so a "> tol" check lets it pass
+        bad = qcore.matrix_unit_basis(2)
+        bad[0] = bad[0] * math.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            witness.construct_witness(bad)
+
     def test_sampled_minimum_reaches_minus_one(self):
         # numeric minimization of Tr(rho W) over pure rho on H (x) H
         w = witness.construct_witness(qcore.matrix_unit_basis(2))

@@ -56,7 +56,7 @@ def delta_numeric(t: InvariantTest, grid_points: int, seed=0,
     for _ in range(haar_pairs):
         phi = qcore.haar_random_state(t.d, rng)
         theta = qcore.haar_random_state(t.d, rng)
-        v = np.kron(phi, theta)
+        v = np.outer(phi, theta).ravel()
         achieved = float(np.real(v.conj() @ a @ v))
         target = abs(np.vdot(phi, theta)) ** 2
         best = max(best, abs(achieved - target))

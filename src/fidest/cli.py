@@ -162,7 +162,8 @@ def _read_instance(path: str, default_grid: int) -> tuple[int, int, int, int]:
 
 
 def cmd_general(args) -> dict:
-    # the only command that solves an LP, so the only one that loads SciPy
+    # the only command that solves an LP; it loads SciPy only for HiGHS,
+    # above general._DENSE_MAX_SAMPLES samples
     from . import general
 
     started = time.perf_counter()

@@ -5,7 +5,8 @@ outcome count k the weight of isotypic block l; the induced outcome
 distribution at state-pair angle gamma is f_k = sum_l alpha[k, l] beta_l(gamma),
 to be compared in L1 against the binomial target with success probability
 cos^2(gamma). The minimax coefficients are found by linear programming over a
-gamma grid with cutting-plane refinement.
+gamma grid with cutting-plane refinement: a dense dual simplex of this module
+up to m = _DENSE_MAX_SAMPLES samples, HiGHS (scipy.optimize.milp) above.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import milp
-from scipy.sparse import csc_array
 
 from . import qcore, symmetry
 
 _MAX_ROUNDS = 80  # cutting-plane rounds before solve_minimax gives up
+_DENSE_MAX_SAMPLES = 32  # largest m solved by _CutLP; HiGHS above (measured)
+_CUT_TOL = 1e-10  # a working angle erring by more than t + this adds a cut
+_MAX_PIVOTS = 100_000  # simplex pivots over one solve before it gives up
+_COST_NOISE = 1e-7  # scale of the cost perturbation of _CutLP
 _START_ANGLES = 9  # evenly spaced grid angles in the LP's first working set
 _MAX_SAMPLES = 1029  # largest m whose binomial coefficients are finite floats
 _ZOOM_POINTS = 17  # evenly spaced samples per bracket in each polish step
@@ -229,7 +232,9 @@ def first_sample_marginal(coeffs: CoefficientMatrix) -> CoefficientMatrix:
 def _solve_on_grid(poly: np.ndarray, m: int,
                    grid: np.ndarray) -> tuple[np.ndarray, float]:
     """LP over the given angle grid for m samples and the block weights
-    ``poly`` of beta_polynomials; returns raw coefficients and optimum.
+    ``poly`` of beta_polynomials, solved by HiGHS; returns raw coefficients
+    and optimum. solve_minimax calls it only for m > _DENSE_MAX_SAMPLES,
+    and SciPy is imported here, so only those solves load it.
 
     Variables are alpha[k, l] (flattened), one slack s[g, k] >= 0 per angle
     and outcome, and the worst-case bound t. Every column of alpha and the
@@ -240,6 +245,9 @@ def _solve_on_grid(poly: np.ndarray, m: int,
     n+1 rows. HiGHS gets the model through milp without integer variables;
     its answer must meet every bound and row to 1e-9.
     """
+    from scipy.optimize import milp
+    from scipy.sparse import csc_array
+
     n_out, n_blk, n_grid = m + 1, poly.shape[0], grid.size
     n_alpha = n_out * n_blk
     n_var = n_alpha + n_out * n_grid + 1
@@ -284,9 +292,248 @@ def _solve_on_grid(poly: np.ndarray, m: int,
     return res.x[:n_alpha].reshape(n_out, n_blk), float(res.fun)
 
 
+def _ratio_test(entries: np.ndarray, values: np.ndarray) -> int | None:
+    """Index of the pivot among the entries above 1e-9 of the largest
+    magnitude: the least values[j] / entries[j] (negative values count as
+    0), ties within 1e-12 going to the largest entry; None if no entry
+    qualifies."""
+    cand = np.flatnonzero(entries > 1e-9 * np.max(np.abs(entries)))
+    if cand.size == 0:
+        return None
+    size = entries[cand]
+    value = np.maximum(values[cand], 0.0)
+    ties = np.flatnonzero(value / size <= np.min((value + 1e-12) / size))
+    return int(cand[ties[np.argmax(size[ties])]])
+
+
+class _CutLP:
+    """The minimax LP over column-stochastic alpha (m+1, n+1) and t >= 0,
+    minimizing t, with one cut per violated working angle, solved by a dense
+    dual simplex that keeps its basis between calls.
+
+    Since f and p both sum to 1, ||f - p||_1 = 2 max_S sum_{k in S} (f_k - p_k),
+    attained at S = {k : f_k > p_k}. A working angle gamma whose error
+    exceeds t adds the cut 2 sum_{k in S} sum_l beta_l(gamma) alpha[k, l] - t
+    <= 2 sum_{k in S} p_k(gamma) with S taken at the current alpha, and
+    solve repeats until no working angle errs by more than t + _CUT_TOL:
+    the optimum of the slack LP of _solve_on_grid over the same angles.
+
+    The columns are alpha (flattened row-major), t, then one slack per cut;
+    the rows are the n+1 column sums, then the cuts. The tableau holds
+    B^-1 A for the basis B, ``rhs`` the basic values and ``reduced`` the
+    reduced costs of ``costs``. A new cut enters with its slack basic,
+    which keeps the basis dual feasible, so each solve resumes from the
+    last basis.
+
+    Only t costs anything, so every ratio test would tie among the alpha
+    columns and the pivots would wander through ill-conditioned bases. The
+    dual simplex therefore runs on costs with a fixed noise of about
+    _COST_NOISE on every nonbasic alpha column, and a primal simplex then
+    returns from that optimum to the optimum of t alone.
+    """
+
+    def __init__(self, n_blk: int, m: int):
+        self.shape = (m + 1, n_blk)
+        n_alpha = (m + 1) * n_blk
+        self.n_var = n_alpha + 1  # alpha and t
+        idx = np.arange(n_alpha)
+        self.rows = np.zeros((n_blk, self.n_var))  # original rows
+        self.rows[idx % n_blk, idx] = 1.0
+        self.b = np.ones(n_blk)
+        # alpha[0, l] = 1 and t = 0: optimal before any cut
+        self.basis = np.arange(n_blk)
+        self.tab = self.rows.copy()
+        self.rhs = self.b.copy()
+        self.noise = _COST_NOISE * (
+            1.0 + np.random.default_rng(0).random(n_alpha))
+        self.pivots = 0
+        self.fresh = True  # the tableau is exact, or rebuilt since a pivot
+        self._set_costs(perturbed=False)
+
+    def solve(self, table: _AngleTable) -> tuple[np.ndarray, float]:
+        """Optimal alpha and t subject to every angle of ``table``; the
+        answer comes from a basis refactored from the original rows."""
+        self._set_costs(perturbed=True)
+        alpha, t = self._cut(table)
+        self._set_costs(perturbed=False)
+        if self._cleanup():
+            # cuts for the moved alpha; dual simplex pivots keep the basis
+            # optimal for t alone
+            alpha, t = self._cut(table)
+        colsums = alpha.sum(axis=0)
+        residual = max(-float(alpha.min()), float(np.max(np.abs(colsums - 1.0))))
+        if not residual <= 1e-9:
+            raise RuntimeError(
+                f"LP solution violates its constraints by {residual:.3g}")
+        return alpha, t
+
+    def _cut(self, table: _AngleTable) -> tuple[np.ndarray, float]:
+        """Dual simplex pivots and new cuts until no angle of ``table`` errs
+        by more than t + _CUT_TOL at a refactored basis."""
+        added = False
+        while True:
+            if not self._optimise() and added:
+                # the tableau holds the new cuts as met: it has drifted
+                if self.fresh:
+                    raise RuntimeError(
+                        "dual simplex cannot enforce a violated cut")
+                self._refactor()
+                added = False
+                continue
+            self._drop_slack_cuts()
+            alpha, t = self._point()
+            f = table.beta @ alpha.T
+            over = f > table.target
+            errors = np.abs(f - table.target).sum(axis=1)
+            new = errors > t + _CUT_TOL
+            added = bool(new.any())
+            if added:
+                self._add_cuts(table.beta[new], table.target[new], over[new])
+            elif self.fresh:
+                return alpha, t
+            else:
+                self._refactor()
+
+    def _set_costs(self, perturbed: bool) -> None:
+        """Cost 1 on t and, when ``perturbed``, the noise on every nonbasic
+        alpha column, so a basis optimal before stays optimal."""
+        self.costs = np.zeros(self.n_var)
+        if perturbed:
+            self.costs[:-1] = self.noise
+            self.costs[self.basis[self.basis < self.n_var]] = 0.0
+        self.costs[-1] = 1.0
+        self._reduce_costs()
+
+    def _reduce_costs(self) -> None:
+        c = np.zeros(self.tab.shape[1])
+        c[:self.n_var] = self.costs
+        self.reduced = c - c[self.basis] @ self.tab
+
+    def _point(self) -> tuple[np.ndarray, float]:
+        x = np.zeros(self.n_var)
+        structural = self.basis < self.n_var
+        x[self.basis[structural]] = self.rhs[structural]
+        return x[:-1].reshape(self.shape), float(x[-1])
+
+    def _add_cuts(self, beta: np.ndarray, target: np.ndarray,
+                  over: np.ndarray) -> None:
+        count = over.shape[0]
+        rows = np.empty((count, self.n_var))
+        rows[:, :-1] = (2.0 * over[:, :, None] * beta[:, None, :]).reshape(count, -1)
+        rows[:, -1] = -1.0
+        b = 2.0 * np.where(over, target, 0.0).sum(axis=1)
+        # the new rows in terms of the nonbasic columns
+        full = np.zeros((count, self.tab.shape[1]))
+        full[:, :self.n_var] = rows
+        on_basis = full[:, self.basis]
+        self.tab = np.block([[self.tab, np.zeros((self.tab.shape[0], count))],
+                             [full - on_basis @ self.tab, np.eye(count)]])
+        self.rhs = np.concatenate([self.rhs, b - on_basis @ self.rhs])
+        self.reduced = np.concatenate([self.reduced, np.zeros(count)])
+        self.basis = np.concatenate(
+            [self.basis, self.tab.shape[1] - count + np.arange(count)])
+        self.rows = np.vstack([self.rows, rows])
+        self.b = np.concatenate([self.b, b])
+
+    def _optimise(self) -> bool:
+        """Dual simplex pivots until the basis is primal feasible; returns
+        whether it pivoted. The most infeasible row leaves."""
+        pivoted = False
+        while True:
+            r = int(np.argmin(self.rhs))
+            if self.rhs[r] >= -1e-12:
+                return pivoted
+            q = _ratio_test(-self.tab[r], self.reduced)
+            if q is None:
+                if self.fresh:
+                    raise RuntimeError(
+                        "dual simplex found no pivot: singular basis")
+                self._refactor()
+                continue
+            self._pivot(r, q)
+            pivoted = True
+
+    def _cleanup(self) -> bool:
+        """Primal simplex pivots from a primal feasible basis until no
+        reduced cost is negative; returns whether it pivoted. The most
+        negative reduced cost enters."""
+        pivoted = False
+        while True:
+            q = int(np.argmin(self.reduced))
+            if self.reduced[q] >= -1e-12:
+                if pivoted:
+                    self._refactor()
+                return pivoted
+            r = _ratio_test(self.tab[:, q], self.rhs)
+            if r is None:
+                raise RuntimeError("primal simplex found no pivot: singular basis")
+            self._pivot(r, q)
+            pivoted = True
+
+    def _pivot(self, r: int, q: int) -> None:
+        if self.pivots >= _MAX_PIVOTS:
+            raise RuntimeError(
+                f"simplex did not converge within {_MAX_PIVOTS} pivots")
+        pivot = self.tab[r, q]
+        prow = self.tab[r] / pivot
+        col = self.tab[:, q].copy()
+        col[r] = 0.0
+        self.tab -= np.outer(col, prow)
+        self.tab[r] = prow
+        value = self.rhs[r] / pivot
+        self.rhs -= col * value
+        self.rhs[r] = value
+        self.reduced -= self.reduced[q] * prow
+        self.basis[r] = q
+        self.pivots += 1
+        self.fresh = False
+
+    def _drop_slack_cuts(self) -> None:
+        """Deletes every cut whose slack is basic above 1e-9, with its
+        tableau row and slack column."""
+        slack = (self.basis >= self.n_var) & (self.rhs > 1e-9)
+        if not slack.any():
+            return
+        dropped = self.basis[slack] - self.n_var
+        keep = np.ones(self.b.size - self.shape[1], dtype=bool)
+        keep[dropped] = False
+        columns = np.concatenate([np.ones(self.n_var, dtype=bool), keep])
+        renumber = np.cumsum(columns) - 1
+        self.tab = self.tab[~slack][:, columns]
+        self.rhs = self.rhs[~slack]
+        self.reduced = self.reduced[columns]
+        self.basis = renumber[self.basis[~slack]]
+        rows = np.concatenate([np.ones(self.shape[1], dtype=bool), keep])
+        self.rows = self.rows[rows]
+        self.b = self.b[rows]
+
+    def _refactor(self) -> None:
+        """Rebuilds the tableau, basic values and reduced costs from the
+        original rows for the current basis."""
+        n_cut = self.b.size - self.shape[1]
+        a = np.zeros((self.b.size, self.n_var + n_cut))
+        a[:, :self.n_var] = self.rows
+        a[self.shape[1]:, self.n_var:] = np.eye(n_cut)
+        try:
+            sol = np.linalg.solve(a[:, self.basis],
+                                  np.column_stack([a, self.b]))
+        except np.linalg.LinAlgError:
+            raise RuntimeError("dual simplex reached a singular basis") from None
+        self.tab, self.rhs = sol[:, :-1], sol[:, -1]
+        self._reduce_costs()
+        self.fresh = True
+
+
 def _sanitize(alpha: np.ndarray) -> np.ndarray:
     a = np.clip(alpha, 0.0, 1.0)
     return a / a.sum(axis=0, keepdims=True)
+
+
+def _union(*arrays: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of the arrays: np.union1d without the
+    numpy.ma import it triggers, about 30 ms of a cold run."""
+    x = np.sort(np.concatenate(arrays))
+    return x[np.concatenate([[True], x[1:] != x[:-1]])]
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -343,7 +590,13 @@ def solve_minimax(inst: GeneralInstance,
     exceed the optimum by ``refine_tol`` join the working set and the
     refined grid. The returned value is the worst case of the sanitized
     strategy over the refined grid: ``inst.gamma_grid`` plus the added
-    angles."""
+    angles.
+
+    For m <= _DENSE_MAX_SAMPLES one _CutLP lives for the whole solve: each
+    working-set step and refinement round only adds cuts to it and resumes
+    from its last basis, and SciPy is never imported. Larger m, where the
+    cut LP needs many more pivots, solves each working set with HiGHS
+    (_solve_on_grid)."""
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
     poly = beta_polynomials(inst)
@@ -355,10 +608,16 @@ def solve_minimax(inst: GeneralInstance,
     active[np.round(np.linspace(0, grid.size - 1,
                                 min(_START_ANGLES, grid.size))).astype(int)] = True
     added = np.empty(0)  # off-grid angles from the continuous refinement
+    if inst.m <= _DENSE_MAX_SAMPLES:
+        lp = _CutLP(poly.shape[0], inst.m)
+
+        def solve(angles):
+            return lp.solve(_angle_table(poly, inst.m, angles))
+    else:
+        solve = functools.partial(_solve_on_grid, poly, inst.m)
     for _ in range(_MAX_ROUNDS):
         while True:  # each pass adds a grid angle, so at most grid.size passes
-            alpha, t = _solve_on_grid(
-                poly, inst.m, np.union1d(grid[active], added))
+            alpha, t = solve(_union(grid[active], added))
             grid_errors = _l1_errors(alpha, on_grid)
             level = max(t, float(np.max(grid_errors[active]))) + 1e-12
             new = _local_maxima(grid_errors) & (grid_errors > level) & ~active
@@ -369,13 +628,13 @@ def solve_minimax(inst: GeneralInstance,
                                           scan)
         if np.max(errors) <= t + refine_tol:
             break
-        added = np.unique(np.concatenate([added, angles[errors > t + refine_tol]]))
+        added = _union(added, angles[errors > t + refine_tol])
     else:
         raise RuntimeError(
             f"grid refinement did not converge within {_MAX_ROUNDS} rounds "
             f"(tolerance {refine_tol})")
     coeffs = CoefficientMatrix(m=inst.m, n=inst.n, alpha=_sanitize(alpha))
     profile = _l1_errors(
-        coeffs.alpha, _angle_table(poly, inst.m, np.union1d(grid, added)),
+        coeffs.alpha, _angle_table(poly, inst.m, _union(grid, added)),
         check=True)
     return coeffs, float(np.max(profile))

@@ -65,7 +65,7 @@ class ViolationCertificate:
     def verify(self, t, tol: float = 1e-9) -> bool:
         """Recompute the claimed value and the pair relation from scratch."""
         a = qcore.as_operator(t)
-        v = np.kron(self.pi, self.tau)
+        v = np.outer(self.pi, self.tau).ravel()
         value = float(np.real(v.conj() @ a @ v))
         if abs(value - self.value) > tol:
             return False
@@ -190,7 +190,7 @@ def theorem_one_check(t, seed=0) -> ViolationCertificate:
 
     if _equal_pair_gap(a, d) <= EQUAL_PAIR_TOL:
         e0, e1 = np.eye(d, dtype=complex)[:2]
-        v = np.kron(e0, e1)
+        v = np.outer(e0, e1).ravel()
         value = float(np.real(v.conj() @ a @ v))
         return ViolationCertificate(kind="orthogonal_pair_fails", pi=e0,
                                     tau=e1, value=value, bound_violated=0.0)
@@ -201,7 +201,7 @@ def theorem_one_check(t, seed=0) -> ViolationCertificate:
     vals = np.einsum("sk,sk->s", kron_batch.view(float),
                      (kron_batch @ a.T).view(float))
     phi = candidates[int(np.argmin(vals))]
-    v = np.kron(phi, phi)
+    v = np.outer(phi, phi).ravel()
     value = float(np.real(v.conj() @ a @ v))
     return ViolationCertificate(kind="equal_pair_fails", pi=phi, tau=phi,
                                 value=value, bound_violated=1.0)

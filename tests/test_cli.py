@@ -230,6 +230,16 @@ class TestGeneralCommand:
         assert code == 1
         assert "unsupported range" in json.loads(err.strip())["error"]
 
+    def test_solver_failure_is_one_json_line(self, capsys, monkeypatch):
+        from fidest import general
+        monkeypatch.setattr(general, "_MAX_PIVOTS", 3)
+        code, out, err = run_cli(capsys, "general", "--d", "2", "--n", "2",
+                                 "--m", "4")
+        assert code == 1
+        assert out == ""
+        assert "\n" not in err.strip()
+        assert "pivots" in json.loads(err.strip())["error"]
+
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "general", "--d", "2")
         assert code == 1
@@ -351,13 +361,42 @@ class TestReportShape:
 
 
 class TestImportGraph:
+    def run_python(self, code):
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+
     def test_cli_does_not_load_the_lp_solver(self):
         # only `general` solves an LP; every other command starts without
         # paying for the scipy.optimize import
-        src = Path(cli.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import fidest.cli, sys; print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, env=env, check=True)
+        out = self.run_python(
+            "import fidest.cli, sys; print('scipy.optimize' in sys.modules)")
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("code", [
+        "from fidest import general\n"
+        "general.solve_minimax(general.make_instance(3, 4, 4))",
+        "import runpy\n"
+        "sys.argv = ['fidest', 'general', '--d', '2', '--n', '3', '--m', '3']\n"
+        "runpy.run_module('fidest.cli', run_name='__main__')",
+    ], ids=["solve_minimax", "cli"])
+    def test_general_runs_without_scipy(self, code):
+        # the dense dual simplex solves every LP up to _DENSE_MAX_SAMPLES
+        out = self.run_python(
+            "import atexit, sys\n"
+            "atexit.register(lambda: print(sorted(k for k in sys.modules\n"
+            "    if k.startswith('scipy')), file=sys.stderr))\n" + code)
+        assert out.stderr.strip() == "[]"
+
+    def test_general_above_the_threshold_loads_scipy_lazily(self):
+        out = self.run_python(
+            "import sys\n"
+            "from fidest import general\n"
+            "inst = general.make_instance(2, 1, general._DENSE_MAX_SAMPLES + 1,\n"
+            "                             grid_points=33)\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "coeffs, value = general.solve_minimax(inst)\n"
+            "worst = general.error_profile(inst, coeffs).max()\n"
+            "print(before, 'scipy.optimize' in sys.modules, worst <= value)")
+        assert out.stdout.split() == ["False", "True", "True"]

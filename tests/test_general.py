@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
@@ -399,14 +402,14 @@ class TestGridLP:
     def test_failed_solve_raises(self, monkeypatch):
         failed = types.SimpleNamespace(status=1, message="Iteration limit reached",
                                        x=None, fun=None)
-        monkeypatch.setattr(general, "milp", lambda *args, **kwargs: failed)
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: failed)
         inst = general.make_instance(2, 2, 4)
         with pytest.raises(RuntimeError, match="status 1"):
             general._solve_on_grid(inst.poly, 4, inst.gamma_grid)
 
     @pytest.mark.parametrize("corrupt", ["row", "nan"])
     def test_infeasible_answer_raises(self, monkeypatch, corrupt):
-        milp = general.milp
+        milp = scipy.optimize.milp
 
         def broken(*args, **kwargs):
             res = milp(*args, **kwargs)
@@ -414,10 +417,57 @@ class TestGridLP:
             res.x[-1] = res.x[-1] - 1e-6 if corrupt == "row" else math.nan
             return res
 
-        monkeypatch.setattr(general, "milp", broken)
+        monkeypatch.setattr(scipy.optimize, "milp", broken)
         inst = general.make_instance(2, 2, 4)
         with pytest.raises(RuntimeError, match="violates its constraints"):
             general._solve_on_grid(inst.poly, 4, inst.gamma_grid)
+
+
+class TestDenseLP:
+    """_CutLP reaches the optimum of the slack LP that HiGHS solves."""
+
+    def check_optimum(self, n, m, angles):
+        inst = general.make_instance(2, n, m)
+        lp = general._CutLP(n + 1, m)
+        alpha, t = lp.solve(general._angle_table(inst.poly, m, angles))
+        ref_alpha, ref_t = linprog_oracle(inst, angles)
+        # HiGHS meets its rows only to its tolerance: on working sets whose
+        # errors reach 1e-12 its t can sit below the true worst case of its
+        # own alpha, so t is held between the two
+        ref_worst = np.max(l1_errors(ref_alpha, inst.poly, m, angles))
+        assert ref_t - 1e-12 <= t <= ref_worst + 1e-12
+        # alpha itself is not compared: the optimal face is degenerate
+        assert alpha.min() >= -1e-12
+        assert np.max(np.abs(alpha.sum(axis=0) - 1.0)) <= 1e-12
+        assert np.max(l1_errors(alpha, inst.poly, m, angles)) <= t + 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, general._DENSE_MAX_SAMPLES),
+           st.sets(st.integers(0, 128), min_size=1, max_size=24),
+           st.lists(st.floats(0.0, math.pi / 2), max_size=8))
+    def test_matches_linprog_optimum(self, n, m, on_grid, off_grid):
+        grid = np.linspace(0.0, math.pi / 2, 129)
+        self.check_optimum(n, m, np.union1d(grid[sorted(on_grid)], off_grid))
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (2, 8), (4, 12)])
+    def test_cleanup_returns_to_the_optimum_of_t(self, monkeypatch, n, m):
+        # a cost noise this large moves the perturbed optimum off the
+        # optimum of t, so only the primal simplex brings t back
+        monkeypatch.setattr(general, "_COST_NOISE", 10.0)
+        self.check_optimum(n, m, np.linspace(0.0, math.pi / 2, 17))
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(general, "_MAX_PIVOTS", 3)
+        with pytest.raises(RuntimeError, match="within 3 pivots"):
+            general.solve_minimax(general.make_instance(2, 2, 4))
+
+    def test_singular_basis_raises(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(RuntimeError, match="singular basis"):
+            general.solve_minimax(general.make_instance(2, 2, 4))
 
 
 class TestLazyGrid:

@@ -297,13 +297,14 @@ def _ratio_test(entries: np.ndarray, values: np.ndarray) -> int | None:
     magnitude: the least values[j] / entries[j] (negative values count as
     0), ties within 1e-12 going to the largest entry; None if no entry
     qualifies."""
-    cand = np.flatnonzero(entries > 1e-9 * np.max(np.abs(entries)))
-    if cand.size == 0:
+    cand = (entries > 1e-9 * np.abs(entries).max()).nonzero()[0]
+    if not cand.size:
         return None
     size = entries[cand]
-    value = np.maximum(values[cand], 0.0)
-    ties = np.flatnonzero(value / size <= np.min((value + 1e-12) / size))
-    return int(cand[ties[np.argmax(size[ties])]])
+    value = values[cand]
+    np.maximum(value, 0.0, out=value)
+    ties = (value / size <= ((value + 1e-12) / size).min()).nonzero()[0]
+    return int(cand[ties[size[ties].argmax()]])
 
 
 class _CutLP:
@@ -318,18 +319,21 @@ class _CutLP:
     solve repeats until no working angle errs by more than t + _CUT_TOL:
     the optimum of the slack LP of _solve_on_grid over the same angles.
 
-    The columns are alpha (flattened row-major), t, then one slack per cut;
-    the rows are the n+1 column sums, then the cuts. The tableau holds
-    B^-1 A for the basis B, ``rhs`` the basic values and ``reduced`` the
-    reduced costs of ``costs``. A new cut enters with its slack basic,
-    which keeps the basis dual feasible, so each solve resumes from the
-    last basis.
+    The rows are the n+1 column sums, then the cuts; the variables are
+    alpha (flattened row-major), t, then one slack per cut, and variable j
+    is column 1 + j of two augmented arrays: ``orig`` holds the original
+    rows [b | A], and the tableau ``T`` holds the reduced costs of ``costs``
+    in row 0 and [B^-1 b | B^-1 A] for the basis B below it, so a pivot is
+    one rank-1 update of T. ``basis`` holds the basic column of each row. A
+    new cut enters with its slack basic, which keeps the basis dual
+    feasible, so each solve resumes from the last basis.
 
     Only t costs anything, so every ratio test would tie among the alpha
     columns and the pivots would wander through ill-conditioned bases. The
-    dual simplex therefore runs on costs with a fixed noise of about
-    _COST_NOISE on every nonbasic alpha column, and a primal simplex then
-    returns from that optimum to the optimum of t alone.
+    dual simplex therefore runs on costs with a fixed noise in
+    [_COST_NOISE, 2 _COST_NOISE) on every nonbasic alpha column (the
+    fractional parts of multiples of the golden ratio), and a primal simplex
+    then returns from that optimum to the optimum of t alone.
     """
 
     def __init__(self, n_blk: int, m: int):
@@ -337,15 +341,14 @@ class _CutLP:
         n_alpha = (m + 1) * n_blk
         self.n_var = n_alpha + 1  # alpha and t
         idx = np.arange(n_alpha)
-        self.rows = np.zeros((n_blk, self.n_var))  # original rows
-        self.rows[idx % n_blk, idx] = 1.0
-        self.b = np.ones(n_blk)
+        self.orig = np.zeros((n_blk, 1 + self.n_var))
+        self.orig[:, 0] = 1.0
+        self.orig[idx % n_blk, 1 + idx] = 1.0
         # alpha[0, l] = 1 and t = 0: optimal before any cut
-        self.basis = np.arange(n_blk)
-        self.tab = self.rows.copy()
-        self.rhs = self.b.copy()
-        self.noise = _COST_NOISE * (
-            1.0 + np.random.default_rng(0).random(n_alpha))
+        self.basis = np.arange(1, 1 + n_blk)
+        self.T = np.vstack([np.zeros(1 + self.n_var), self.orig])
+        golden = (1.0 + math.sqrt(5.0)) / 2
+        self.noise = _COST_NOISE * (1.0 + np.arange(1, 1 + n_alpha) * golden % 1.0)
         self.pivots = 0
         self.fresh = True  # the tableau is exact, or rebuilt since a pivot
         self._set_costs(perturbed=False)
@@ -397,60 +400,62 @@ class _CutLP:
     def _set_costs(self, perturbed: bool) -> None:
         """Cost 1 on t and, when ``perturbed``, the noise on every nonbasic
         alpha column, so a basis optimal before stays optimal."""
-        self.costs = np.zeros(self.n_var)
+        self.costs = np.zeros(1 + self.n_var)
         if perturbed:
-            self.costs[:-1] = self.noise
+            self.costs[1:-1] = self.noise
             self.costs[self.basis[self.basis < self.n_var]] = 0.0
         self.costs[-1] = 1.0
         self._reduce_costs()
 
     def _reduce_costs(self) -> None:
-        c = np.zeros(self.tab.shape[1])
-        c[:self.n_var] = self.costs
-        self.reduced = c - c[self.basis] @ self.tab
+        c = np.zeros(self.T.shape[1])
+        c[:1 + self.n_var] = self.costs
+        self.T[0] = c - c[self.basis] @ self.T[1:]
 
     def _point(self) -> tuple[np.ndarray, float]:
-        x = np.zeros(self.n_var)
-        structural = self.basis < self.n_var
-        x[self.basis[structural]] = self.rhs[structural]
-        return x[:-1].reshape(self.shape), float(x[-1])
+        x = np.zeros(1 + self.n_var)
+        structural = self.basis <= self.n_var
+        x[self.basis[structural]] = self.T[1:, 0][structural]
+        return x[1:-1].reshape(self.shape), float(x[-1])
 
     def _add_cuts(self, beta: np.ndarray, target: np.ndarray,
                   over: np.ndarray) -> None:
         count = over.shape[0]
-        rows = np.empty((count, self.n_var))
-        rows[:, :-1] = (2.0 * over[:, :, None] * beta[:, None, :]).reshape(count, -1)
-        rows[:, -1] = -1.0
-        b = 2.0 * np.where(over, target, 0.0).sum(axis=1)
+        height, width = self.T.shape
+        cuts = np.zeros((count, width + count))  # [b | A] of the new rows
+        cuts[:, 0] = 2.0 * np.where(over, target, 0.0).sum(axis=1)
+        cuts[:, 1:self.n_var] = (
+            2.0 * over[:, :, None] * beta[:, None, :]).reshape(count, -1)
+        cuts[:, self.n_var] = -1.0
+        cuts[:, width:] = np.eye(count)
+        tab = np.zeros((height + count, width + count))
+        tab[:height, :width] = self.T
         # the new rows in terms of the nonbasic columns
-        full = np.zeros((count, self.tab.shape[1]))
-        full[:, :self.n_var] = rows
-        on_basis = full[:, self.basis]
-        self.tab = np.block([[self.tab, np.zeros((self.tab.shape[0], count))],
-                             [full - on_basis @ self.tab, np.eye(count)]])
-        self.rhs = np.concatenate([self.rhs, b - on_basis @ self.rhs])
-        self.reduced = np.concatenate([self.reduced, np.zeros(count)])
-        self.basis = np.concatenate(
-            [self.basis, self.tab.shape[1] - count + np.arange(count)])
-        self.rows = np.vstack([self.rows, rows])
-        self.b = np.concatenate([self.b, b])
+        tab[height:] = cuts - cuts[:, self.basis] @ tab[1:height]
+        self.T = tab
+        self.basis = np.concatenate([self.basis, width + np.arange(count)])
+        orig = np.zeros((height - 1 + count, width + count))
+        orig[:height - 1, :width] = self.orig
+        orig[height - 1:] = cuts
+        self.orig = orig
 
     def _optimise(self) -> bool:
         """Dual simplex pivots until the basis is primal feasible; returns
         whether it pivoted. The most infeasible row leaves."""
         pivoted = False
         while True:
-            r = int(np.argmin(self.rhs))
-            if self.rhs[r] >= -1e-12:
+            r = int(self.T[1:, 0].argmin())
+            row = self.T[1 + r]
+            if row[0] >= -1e-12:
                 return pivoted
-            q = _ratio_test(-self.tab[r], self.reduced)
+            q = _ratio_test(-row[1:], self.T[0, 1:])
             if q is None:
                 if self.fresh:
                     raise RuntimeError(
                         "dual simplex found no pivot: singular basis")
                 self._refactor()
                 continue
-            self._pivot(r, q)
+            self._pivot(r, 1 + q)
             pivoted = True
 
     def _cleanup(self) -> bool:
@@ -459,67 +464,55 @@ class _CutLP:
         negative reduced cost enters."""
         pivoted = False
         while True:
-            q = int(np.argmin(self.reduced))
-            if self.reduced[q] >= -1e-12:
+            q = 1 + int(self.T[0, 1:].argmin())
+            if self.T[0, q] >= -1e-12:
                 if pivoted:
                     self._refactor()
                 return pivoted
-            r = _ratio_test(self.tab[:, q], self.rhs)
+            r = _ratio_test(self.T[1:, q], self.T[1:, 0])
             if r is None:
                 raise RuntimeError("primal simplex found no pivot: singular basis")
             self._pivot(r, q)
             pivoted = True
 
     def _pivot(self, r: int, q: int) -> None:
+        """Column q enters the basis in row r (row 1 + r of T)."""
         if self.pivots >= _MAX_PIVOTS:
             raise RuntimeError(
                 f"simplex did not converge within {_MAX_PIVOTS} pivots")
-        pivot = self.tab[r, q]
-        prow = self.tab[r] / pivot
-        col = self.tab[:, q].copy()
-        col[r] = 0.0
-        self.tab -= np.outer(col, prow)
-        self.tab[r] = prow
-        value = self.rhs[r] / pivot
-        self.rhs -= col * value
-        self.rhs[r] = value
-        self.reduced -= self.reduced[q] * prow
+        tab = self.T
+        prow = tab[1 + r] / tab[1 + r, q]
+        col = tab[:, q].copy()
+        col[1 + r] = 0.0
+        tab -= col[:, None] * prow
+        tab[1 + r] = prow
         self.basis[r] = q
         self.pivots += 1
         self.fresh = False
 
     def _drop_slack_cuts(self) -> None:
         """Deletes every cut whose slack is basic above 1e-9, with its
-        tableau row and slack column."""
-        slack = (self.basis >= self.n_var) & (self.rhs > 1e-9)
+        tableau row, original row and slack column."""
+        slack = (self.basis > self.n_var) & (self.T[1:, 0] > 1e-9)
         if not slack.any():
             return
-        dropped = self.basis[slack] - self.n_var
-        keep = np.ones(self.b.size - self.shape[1], dtype=bool)
-        keep[dropped] = False
-        columns = np.concatenate([np.ones(self.n_var, dtype=bool), keep])
-        renumber = np.cumsum(columns) - 1
-        self.tab = self.tab[~slack][:, columns]
-        self.rhs = self.rhs[~slack]
-        self.reduced = self.reduced[columns]
-        self.basis = renumber[self.basis[~slack]]
-        rows = np.concatenate([np.ones(self.shape[1], dtype=bool), keep])
-        self.rows = self.rows[rows]
-        self.b = self.b[rows]
+        columns = np.ones(self.T.shape[1], dtype=bool)
+        columns[self.basis[slack]] = False
+        cols = columns.nonzero()[0]
+        # cut i is original row n+1+i and has slack column 1+n_var+i
+        rows = columns[1 + self.n_var - self.shape[1]:].nonzero()[0]
+        tab_rows = np.concatenate(([True], ~slack)).nonzero()[0]
+        self.T = self.T[tab_rows[:, None], cols]
+        self.orig = self.orig[rows[:, None], cols]
+        self.basis = (np.cumsum(columns) - 1)[self.basis[~slack]]
 
     def _refactor(self) -> None:
-        """Rebuilds the tableau, basic values and reduced costs from the
-        original rows for the current basis."""
-        n_cut = self.b.size - self.shape[1]
-        a = np.zeros((self.b.size, self.n_var + n_cut))
-        a[:, :self.n_var] = self.rows
-        a[self.shape[1]:, self.n_var:] = np.eye(n_cut)
+        """Rebuilds the tableau from the original rows for the current
+        basis."""
         try:
-            sol = np.linalg.solve(a[:, self.basis],
-                                  np.column_stack([a, self.b]))
+            self.T[1:] = np.linalg.solve(self.orig[:, self.basis], self.orig)
         except np.linalg.LinAlgError:
             raise RuntimeError("dual simplex reached a singular basis") from None
-        self.tab, self.rhs = sol[:, :-1], sol[:, -1]
         self._reduce_costs()
         self.fresh = True
 

@@ -41,6 +41,35 @@ class TestDeltaNumeric:
         t = approx.InvariantTest(sigma=0.0, alpha_coef=0.0)
         assert approx.delta_numeric(t, 100) == pytest.approx(1.0, abs=1e-12)
 
+    def test_without_haar_pairs_returns_the_grid_maximum(self):
+        t = approx.InvariantTest(sigma=0.37, alpha_coef=0.12, d=3)
+        x = np.linspace(0.0, 1.0, 7)
+        grid = np.max(np.abs(0.12 + 0.25 * (1.0 + x) / 2 - x))
+        assert approx.delta_numeric(t, 7, haar_pairs=0) == pytest.approx(
+            grid, abs=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_haar_pairs_apply_the_operator(self, monkeypatch, d):
+        # an operator off the invariant family errs on the Haar pairs by more
+        # than the grid of the test shows; the pairs are scored one by one
+        # here, on the same draws
+        u = qcore.haar_random_unitary(d * d, 3)
+        op = (u * np.linspace(-1.0, 2.0, d * d)) @ u.conj().T
+        monkeypatch.setattr(approx.InvariantTest, "to_operator",
+                            lambda self: op)
+        rng = np.random.default_rng(5)
+        phis = qcore.haar_random_states(d, 100, rng)
+        thetas = qcore.haar_random_states(d, 100, rng)
+        worst = 0.0
+        for phi, theta in zip(phis, thetas):
+            v = np.outer(phi, theta).ravel()
+            achieved = float(np.real(v.conj() @ op @ v))
+            worst = max(worst, abs(achieved - abs(np.vdot(phi, theta)) ** 2))
+        assert worst > 1 / 3
+        t = approx.InvariantTest(sigma=2 / 3, alpha_coef=0.0, d=d)
+        assert approx.delta_numeric(t, 11, seed=5) == pytest.approx(
+            worst, abs=1e-12)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_agrees_with_closed_form_on_grid(self, d):
         pts = np.linspace(0.0, 1.0, 21)

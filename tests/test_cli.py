@@ -360,6 +360,15 @@ class TestReportShape:
         assert report["seed"] == 123
 
 
+GENERAL_RUNS = [
+    "from fidest import general\n"
+    "general.solve_minimax(general.make_instance(3, 4, 4))",
+    "import runpy\n"
+    "sys.argv = ['fidest', 'general', '--d', '2', '--n', '3', '--m', '3']\n"
+    "runpy.run_module('fidest.cli', run_name='__main__')",
+]
+
+
 class TestImportGraph:
     def run_python(self, code):
         src = Path(cli.__file__).resolve().parent.parent
@@ -374,20 +383,23 @@ class TestImportGraph:
             "import fidest.cli, sys; print('scipy.optimize' in sys.modules)")
         assert out.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("code", [
-        "from fidest import general\n"
-        "general.solve_minimax(general.make_instance(3, 4, 4))",
-        "import runpy\n"
-        "sys.argv = ['fidest', 'general', '--d', '2', '--n', '3', '--m', '3']\n"
-        "runpy.run_module('fidest.cli', run_name='__main__')",
-    ], ids=["solve_minimax", "cli"])
-    def test_general_runs_without_scipy(self, code):
-        # the dense dual simplex solves every LP up to _DENSE_MAX_SAMPLES
+    def loaded_after(self, prefix, code):
+        """Modules named ``prefix``* that remain loaded after ``code``."""
         out = self.run_python(
             "import atexit, sys\n"
             "atexit.register(lambda: print(sorted(k for k in sys.modules\n"
-            "    if k.startswith('scipy')), file=sys.stderr))\n" + code)
-        assert out.stderr.strip() == "[]"
+            f"    if k.startswith({prefix!r})), file=sys.stderr))\n" + code)
+        return out.stderr.strip()
+
+    @pytest.mark.parametrize("code", GENERAL_RUNS, ids=["solve_minimax", "cli"])
+    def test_general_runs_without_scipy(self, code):
+        # the dense dual simplex solves every LP up to _DENSE_MAX_SAMPLES
+        assert self.loaded_after("scipy", code) == "[]"
+
+    @pytest.mark.parametrize("code", GENERAL_RUNS, ids=["solve_minimax", "cli"])
+    def test_general_runs_without_numpy_random(self, code):
+        # the cost noise of the dense LP is a fixed sequence, not an RNG
+        assert self.loaded_after("numpy.random", code) == "[]"
 
     def test_general_above_the_threshold_loads_scipy_lazily(self):
         out = self.run_python(

@@ -270,6 +270,32 @@ class TestBatchedEvaluation:
         _, solved = general.solve_minimax(inst)
         assert solved == pytest.approx(value, abs=1e-9)
 
+    # the 16 d = 2 instances of the minimax benchmark
+    @pytest.mark.parametrize("n,m,value", [
+        (1, 1, 0.6666666666666667),
+        (1, 2, 0.7696900206385837),
+        (1, 4, 1.0045820634395088),
+        (1, 8, 1.177365669053218),
+        (2, 1, 0.28571428571428586),
+        (2, 2, 0.5471042754760935),
+        (2, 4, 0.8734132582671338),
+        (2, 8, 1.024222617671731),
+        (3, 1, 0.14569584046800377),
+        (3, 2, 0.38570757388147886),
+        (3, 4, 0.6581845135744326),
+        (3, 8, 0.9235885721264768),
+        (4, 1, 0.10932096172643574),
+        (4, 2, 0.21909060002728575),
+        (4, 4, 0.5479908323737879),
+        (4, 8, 0.7982772956253177),
+    ])
+    def test_benchmark_values(self, n, m, value):
+        _, solved = general.solve_minimax(general.make_instance(2, n, m))
+        assert solved == pytest.approx(value, abs=1e-12)
+        # the block weights do not depend on d, nor does the solve
+        _, solved_d3 = general.solve_minimax(general.make_instance(3, n, m))
+        assert solved_d3 == solved
+
 
 class TestCuttingPlanes:
     """The one-sided grid LP and the multi-cut refinement rounds."""
@@ -421,6 +447,63 @@ class TestGridLP:
         inst = general.make_instance(2, 2, 4)
         with pytest.raises(RuntimeError, match="violates its constraints"):
             general._solve_on_grid(inst.poly, 4, inst.gamma_grid)
+
+
+def ratio_test_oracle(entries, values):
+    """The dense LP's pivot rule in its first, plain form."""
+    cand = np.flatnonzero(entries > 1e-9 * np.max(np.abs(entries)))
+    if cand.size == 0:
+        return None
+    size = entries[cand]
+    value = np.maximum(values[cand], 0.0)
+    ties = np.flatnonzero(value / size <= np.min((value + 1e-12) / size))
+    return int(cand[ties[np.argmax(size[ties])]])
+
+
+@st.composite
+def ratio_test_inputs(draw):
+    """Entries with exact ties, zeros and negative values, and values whose
+    ratios tie exactly or within 1e-12, or are negative."""
+    size = draw(st.integers(1, 60))
+    pool = st.sampled_from([-1.5, -1e-12, 0.0, 1e-12, 1e-10, 0.25, 0.5, 2.0])
+    entries = draw(st.lists(pool | st.floats(-4.0, 4.0),
+                            min_size=size, max_size=size))
+    ratios = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 3.0])
+                           | st.floats(-2.0, 2.0),
+                           min_size=size, max_size=size))
+    jitter = draw(st.lists(st.sampled_from([0.0, 4e-13, -4e-13, 1e-12, 3e-12]),
+                           min_size=size, max_size=size))
+    entries = np.array(entries)
+    return entries, np.array(ratios) * np.abs(entries) + np.array(jitter)
+
+
+class TestRatioTest:
+    """_ratio_test picks the pivot that the plain form of its rule picks."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(ratio_test_inputs(), st.booleans())
+    def test_matches_the_oracle(self, inputs, negate):
+        entries, values = inputs
+        if negate:  # the dual simplex passes a negated row
+            entries = -entries
+        before = values.copy()
+        assert general._ratio_test(entries, values) == ratio_test_oracle(
+            entries, values)
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("entries,values,expected", [
+        ([1.0, 2.0, 2.0], [1.0, 2.0, 2.0], 1),        # exact tie: larger, first
+        ([1.0, 2.0], [1.0, 2.0 + 1.5e-12], 1),        # tie within 1e-12
+        ([1.0, 2.0], [1.0, 2.0 + 4e-12], 0),          # no tie
+        ([0.5, 1.0], [-3.0, 0.0], 1),                 # negative values count 0
+        ([-1.0, 0.0, -2.0], [1.0, 1.0, 1.0], None),   # nothing positive
+        ([0.0, 0.0], [0.0, 0.0], None),
+        ([1e-12, 1.0], [0.0, 5.0], 1),                # below 1e-9 of the max
+    ])
+    def test_cases(self, entries, values, expected):
+        entries, values = np.array(entries), np.array(values)
+        assert general._ratio_test(entries, values) == expected
+        assert ratio_test_oracle(entries, values) == expected
 
 
 class TestDenseLP:

@@ -5,8 +5,9 @@ outcome count k the weight of isotypic block l; the induced outcome
 distribution at state-pair angle gamma is f_k = sum_l alpha[k, l] beta_l(gamma),
 to be compared in L1 against the binomial target with success probability
 cos^2(gamma). The minimax coefficients are found by linear programming over a
-gamma grid with cutting-plane refinement: a dense dual simplex of this module
-up to m = _DENSE_MAX_SAMPLES samples, HiGHS (scipy.optimize.milp) above.
+gamma grid with cutting-plane refinement: a dense dual simplex of this module,
+whose cuts are separated at a stability centre (in-out separation), up to
+m = _DENSE_MAX_SAMPLES = 64 samples, HiGHS (scipy.optimize.milp) above.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import qcore, symmetry
 
 _MAX_ROUNDS = 80  # cutting-plane rounds before solve_minimax gives up
-_DENSE_MAX_SAMPLES = 32  # largest m solved by _CutLP; HiGHS above (measured)
+_DENSE_MAX_SAMPLES = 64  # largest m solved by _CutLP; HiGHS above (measured)
 _CUT_TOL = 1e-10  # a working angle erring by more than t + this adds a cut
 _MAX_PIVOTS = 100_000  # simplex pivots over one solve before it gives up
 _COST_NOISE = 1e-7  # scale of the cost perturbation of _CutLP
@@ -315,9 +316,18 @@ class _CutLP:
     Since f and p both sum to 1, ||f - p||_1 = 2 max_S sum_{k in S} (f_k - p_k),
     attained at S = {k : f_k > p_k}. A working angle gamma whose error
     exceeds t adds the cut 2 sum_{k in S} sum_l beta_l(gamma) alpha[k, l] - t
-    <= 2 sum_{k in S} p_k(gamma) with S taken at the current alpha, and
-    solve repeats until no working angle errs by more than t + _CUT_TOL:
-    the optimum of the slack LP of _solve_on_grid over the same angles.
+    <= 2 sum_{k in S} p_k(gamma), and solve repeats until no working angle
+    errs by more than t + _CUT_TOL: the optimum of the slack LP of
+    _solve_on_grid over the same angles.
+
+    S comes from in-out separation (Wentges smoothing): ``centre`` starts at
+    the uniform alpha 1/(m+1) and moves halfway to the current alpha in
+    every round that adds cuts, and S is read from f at the moved centre,
+    unless that S no longer cuts off the current alpha, in which case S is
+    taken at alpha. Cuts at alpha alone, which jumps around in the early
+    rounds, go slack and are dropped again; the centre's are deeper, so a
+    solve takes about a third of the pivots, and only the order of the cuts
+    changes, not the optimum.
 
     The rows are the n+1 column sums, then the cuts; the variables are
     alpha (flattened row-major), t, then one slack per cut, and variable j
@@ -349,6 +359,7 @@ class _CutLP:
         self.T = np.vstack([np.zeros(1 + self.n_var), self.orig])
         golden = (1.0 + math.sqrt(5.0)) / 2
         self.noise = _COST_NOISE * (1.0 + np.arange(1, 1 + n_alpha) * golden % 1.0)
+        self.centre = np.full(self.shape, 1.0 / (m + 1))  # in-out stability centre
         self.pivots = 0
         self.fresh = True  # the tableau is exact, or rebuilt since a pivot
         self._set_costs(perturbed=False)
@@ -385,13 +396,18 @@ class _CutLP:
                 continue
             self._drop_slack_cuts()
             alpha, t = self._point()
-            f = table.beta @ alpha.T
-            over = f > table.target
-            errors = np.abs(f - table.target).sum(axis=1)
-            new = errors > t + _CUT_TOL
+            gap = table.beta @ alpha.T - table.target
+            new = np.abs(gap).sum(axis=1) > t + _CUT_TOL
             added = bool(new.any())
             if added:
-                self._add_cuts(table.beta[new], table.target[new], over[new])
+                gap, beta, target = gap[new], table.beta[new], table.target[new]
+                # S at the separation point between alpha and the centre,
+                # where it still cuts off alpha; at alpha itself elsewhere
+                self.centre = (self.centre + alpha) / 2
+                over = beta @ self.centre.T > target
+                deep = 2 * np.where(over, gap, 0.0).sum(axis=1) > t + _CUT_TOL
+                over[~deep] = gap[~deep] > 0
+                self._add_cuts(beta, target, over)
             elif self.fresh:
                 return alpha, t
             else:
@@ -585,11 +601,11 @@ def solve_minimax(inst: GeneralInstance,
     strategy over the refined grid: ``inst.gamma_grid`` plus the added
     angles.
 
-    For m <= _DENSE_MAX_SAMPLES one _CutLP lives for the whole solve: each
-    working-set step and refinement round only adds cuts to it and resumes
-    from its last basis, and SciPy is never imported. Larger m, where the
-    cut LP needs many more pivots, solves each working set with HiGHS
-    (_solve_on_grid)."""
+    For m <= _DENSE_MAX_SAMPLES (64) one _CutLP lives for the whole solve:
+    each working-set step and refinement round only adds cuts to it and
+    resumes from its last basis, and SciPy is never imported. Larger m,
+    where the cut LP needs many more pivots (it reaches _MAX_PIVOTS at
+    (n, m) = (4, 128)), solves each working set with HiGHS (_solve_on_grid)."""
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
     poly = beta_polynomials(inst)

@@ -244,6 +244,13 @@ class TestGeneralCommand:
         code, _, err = run_cli(capsys, "general", "--d", "2")
         assert code == 1
 
+    def test_largest_dense_size(self, capsys):
+        # the largest m of the dense LP; HiGHS misses a row here by 6e-8
+        report = run_report(capsys, "general", "--d", "2", "--n", "3",
+                            "--m", "64")
+        res = report["results"]
+        assert res["max_profile_error"] <= res["value_l1"]
+
 
 def assert_usage_error(code, out, err):
     assert code == 2

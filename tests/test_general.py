@@ -539,6 +539,29 @@ class TestDenseLP:
         monkeypatch.setattr(general, "_COST_NOISE", 10.0)
         self.check_optimum(n, m, np.linspace(0.0, math.pi / 2, 17))
 
+    @staticmethod
+    def count_pivots(monkeypatch, instances):
+        lps = []
+        init = general._CutLP.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            lps.append(self)
+
+        monkeypatch.setattr(general._CutLP, "__init__", recording_init)
+        for d, n, m in instances:
+            general.solve_minimax(general.make_instance(d, n, m))
+        return sum(lp.pivots for lp in lps)
+
+    def test_pivots_over_the_benchmark_instances(self, monkeypatch):
+        # cuts separated at alpha alone take 918 pivots
+        instances = [(2, n, m) for n in range(1, 5) for m in (1, 2, 4, 8)]
+        assert self.count_pivots(monkeypatch, instances) <= 450
+
+    def test_pivots_at_many_samples(self, monkeypatch):
+        # cuts separated at alpha alone take 13502 pivots
+        assert self.count_pivots(monkeypatch, [(2, 3, 32)]) <= 1000
+
     def test_pivot_cap_raises(self, monkeypatch):
         monkeypatch.setattr(general, "_MAX_PIVOTS", 3)
         with pytest.raises(RuntimeError, match="within 3 pivots"):

@@ -29,6 +29,7 @@ _MAX_PIVOTS = 100_000  # simplex pivots over one solve before it gives up
 _COST_NOISE = 1e-7  # scale of the cost perturbation of _CutLP
 _START_ANGLES = 9  # evenly spaced grid angles in the LP's first working set
 _MAX_SAMPLES = 1029  # largest m whose binomial coefficients are finite floats
+_MAX_GRID_POINTS = 65537  # a CLI solve at the limit takes 1-2 s for m <= 64 (measured)
 _ZOOM_POINTS = 17  # evenly spaced samples per bracket in each polish step
 _SCAN_SAMPLES = 2049  # evenly spaced angles of the worst-angle scan
 
@@ -122,8 +123,9 @@ def make_instance(d: int, n: int, m: int,
     symmetry.check_supported(d, n)
     if not 1 <= m <= _MAX_SAMPLES:
         raise ValueError(f"m = {m} is out of range: require 1 <= m <= {_MAX_SAMPLES}")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    if not 2 <= grid_points <= _MAX_GRID_POINTS:
+        raise ValueError(f"grid_points = {grid_points} is out of range: "
+                         f"require 2 <= grid_points <= {_MAX_GRID_POINTS}")
     return GeneralInstance(d=d, n=n, m=m,
                            gamma_grid=np.linspace(0.0, math.pi / 2, grid_points),
                            poly=_exact_block_weights(n))

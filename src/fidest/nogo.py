@@ -94,10 +94,17 @@ def vote_probability(rho, pi, tau, rule: DecisionRule) -> float:
     def expect(op):
         return float(np.real(np.einsum("ij,ji->", r, op)))
 
-    return (p11 * expect(np.kron(p, t))
-            + p10 * expect(np.kron(p, eye - t))
-            + p01 * expect(np.kron(eye - p, t))
-            + p00 * expect(np.kron(eye - p, eye - t)))
+    return (p11 * expect(_kron(p, t))
+            + p10 * expect(_kron(p, eye - t))
+            + p01 * expect(_kron(eye - p, t))
+            + p00 * expect(_kron(eye - p, eye - t)))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D arrays, bit for bit, without its generic
+    reshaping overhead (about 5x faster on 2x2 operators)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _probe_pairs(d: int):
@@ -132,8 +139,8 @@ def forcing_check(rule: DecisionRule, trials: int, seed,
     rng = np.random.default_rng(seed)
 
     def attempt(s1, s2, pv, tv):
-        rho = np.kron(qcore.pure_state_projector(s1),
-                      qcore.pure_state_projector(s2))
+        rho = _kron(qcore.pure_state_projector(s1),
+                    qcore.pure_state_projector(s2))
         pi = qcore.pure_state_projector(pv)
         tau = qcore.pure_state_projector(tv)
         dev = abs(vote_probability(rho, pi, tau, rule)

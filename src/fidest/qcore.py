@@ -122,13 +122,25 @@ def haar_random_state(dim: int, seed) -> np.ndarray:
 
 
 def haar_random_states(dim: int, count: int, seed) -> np.ndarray:
-    """Batch of uniformly random unit vectors, shape (count, dim)."""
+    """Batch of uniformly random unit vectors, shape (count, dim).
+
+    One ``standard_normal((2, count, dim))`` draw supplies the real parts of
+    all states, then all imaginary parts; ``unit_states`` normalises it.
+    Callers that draw several batches at once, such as
+    ``approx.partial_info_check``, rely on this order."""
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be >= 1")
     rng = np.random.default_rng(seed)
-    v = np.empty((count, dim), dtype=complex)
-    v.real = rng.normal(size=(count, dim))
-    v.imag = rng.normal(size=(count, dim))
+    return unit_states(rng.standard_normal((2, count, dim)))
+
+
+def unit_states(draw) -> np.ndarray:
+    """Normalised complex states from a (2, count, dim) array of real parts
+    then imaginary parts; each row depends on its own entries only, so any
+    slice of rows normalises bit-identically to the whole batch."""
+    v = np.empty(draw.shape[1:], dtype=complex)
+    v.real = draw[0]
+    v.imag = draw[1]
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v
 

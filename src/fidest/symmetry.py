@@ -41,12 +41,16 @@ def swap_operator(d: int) -> np.ndarray:
     return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
+@lru_cache(maxsize=None)
 def sym_antisym_projectors(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Projectors (P_sym, P_anti) onto the symmetric and antisymmetric
-    subspaces of H (x) H; P_sym = (I + SWAP)/2."""
+    subspaces of H (x) H; P_sym = (I + SWAP)/2. Cached per d and read-only."""
     s = swap_operator(d)
     eye = np.eye(d * d, dtype=complex)
-    return (eye + s) / 2, (eye - s) / 2
+    projectors = (eye + s) / 2, (eye - s) / 2
+    for p in projectors:
+        p.setflags(write=False)
+    return projectors
 
 
 @dataclass(frozen=True)

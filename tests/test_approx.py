@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fidest import approx, qcore
+from fidest import approx, qcore, symmetry
 
 
 class TestDeltaClosedForm:
@@ -176,8 +178,8 @@ class TestPartialInfoCheck:
         assert val(e0, plus) == pytest.approx(0.5, abs=1e-12)  # threshold fixed point
 
     def test_memory_budget(self):
-        # a (trials, d^2) complex temporary beyond the pairs and their image
-        # under the test operator would push the peak past 40 MiB
+        # the (2, 2, trials, d) draw takes 12.2 MiB; any (trials, d^2)
+        # complex temporary beside it would push the peak past 16 MiB
         approx.partial_info_check(10, seed=0)
         tracemalloc.start()
         try:
@@ -185,9 +187,45 @@ class TestPartialInfoCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2 ** 20
+        assert peak <= 16 * 2 ** 20
 
     def test_counts_are_consistent(self):
         report = approx.partial_info_check(500, seed=3)
         assert report.decided + report.undecided == report.trials
         assert report.agreements <= report.decided
+
+
+def whole_batch_report(trials, seed, d):
+    """The partial-information sweep on all pairs at once, from two
+    haar_random_states calls on one generator."""
+    rng = np.random.default_rng(seed)
+    phis = qcore.haar_random_states(d, trials, rng)
+    thetas = qcore.haar_random_states(d, trials, rng)
+    pairs = np.einsum("si,sj->sij", phis, thetas).reshape(trials, d * d)
+    a = (2 / 3) * symmetry.sym_antisym_projectors(d)[0]
+    achieved = np.einsum("si,ij,sj->s", pairs.conj(), a, pairs).real
+    overlaps = np.abs(np.einsum("si,si->s", phis.conj(), thetas)) ** 2
+    decided = np.abs(overlaps - 0.5) > 1e-9
+    agree = np.sign(achieved - 0.5) == np.sign(overlaps - 0.5)
+    return approx.PartialInfoReport(
+        trials=trials, decided=int(np.count_nonzero(decided)),
+        agreements=int(np.count_nonzero(agree & decided)),
+        undecided=int(np.count_nonzero(~decided)),
+        max_identity_dev=float(np.max(np.abs(achieved - (1 + overlaps) / 3))))
+
+
+class TestBlockedSweep:
+    BLOCK = approx._BLOCK
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(st.integers(1, 3 * BLOCK + 1),
+                     st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
+                                      3 * BLOCK, 3 * BLOCK + 1])),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
+    def test_matches_the_whole_batch(self, trials, seed, d):
+        got = approx.partial_info_check(trials, seed, d=d)
+        want = whole_batch_report(trials, seed, d)
+        assert ((got.trials, got.decided, got.agreements, got.undecided)
+                == (want.trials, want.decided, want.agreements, want.undecided))
+        assert got.max_identity_dev <= 1e-10
+        assert want.max_identity_dev <= 1e-10

@@ -216,6 +216,22 @@ class TestGeneralCommand:
         error = self.run_instance(capsys, tmp_path, spec)
         assert f"instance {key} = {value!r} is not an integer" == error
 
+    def test_instance_grid_above_the_limit(self, capsys, tmp_path):
+        from fidest import general
+        limit = general._MAX_GRID_POINTS
+        error = self.run_instance(capsys, tmp_path,
+                                  {"d": 2, "n": 1, "m": 1, "grid": limit + 1})
+        assert f"grid_points <= {limit}" in error
+
+    def test_grid_above_the_limit(self, capsys):
+        from fidest import general
+        limit = general._MAX_GRID_POINTS
+        code, out, err = run_cli(capsys, "general", "--d", "2", "--n", "1",
+                                 "--m", "1", "--grid", str(limit + 1))
+        assert code == 1
+        assert out == ""
+        assert f"grid_points <= {limit}" in json.loads(err.strip())["error"]
+
     def test_unsupported_range(self, capsys):
         code, _, err = run_cli(capsys, "general", "--d", "4", "--n", "1",
                                "--m", "1")

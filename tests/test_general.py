@@ -697,6 +697,17 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="1 <= m <= 1029"):
             general.make_instance(2, 1, m)
 
+    @pytest.mark.parametrize("grid_points", [1, general._MAX_GRID_POINTS + 1])
+    def test_rejects_grid_out_of_range(self, grid_points):
+        with pytest.raises(ValueError,
+                           match=f"2 <= grid_points <= {general._MAX_GRID_POINTS}"):
+            general.make_instance(2, 1, 1, grid_points=grid_points)
+
+    def test_largest_grid_is_accepted(self):
+        inst = general.make_instance(2, 1, 1,
+                                     grid_points=general._MAX_GRID_POINTS)
+        assert inst.gamma_grid.size == general._MAX_GRID_POINTS
+
     def test_largest_sample_count_has_finite_targets(self):
         inst = general.make_instance(2, 1, 1029, grid_points=5)
         p = general._target_distributions(inst.m, inst.gamma_grid)

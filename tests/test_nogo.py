@@ -62,6 +62,16 @@ class TestDecisionRule:
             nogo.DecisionRule(1.0, 1.2, 0.0, 0.0)
 
 
+class TestKron:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3, 4]).flatmap(
+        lambda d: st.tuples(complex_matrices(d, d), complex_matrices(d, d))))
+    def test_equals_numpy_kron_bit_for_bit(self, operands):
+        a, b = operands
+        assert np.array_equal(nogo._kron(a, b).view(np.int64),
+                              np.kron(a, b).view(np.int64))
+
+
 class TestVoteProbability:
     def test_forced_rule_on_product_preparation(self):
         rng = np.random.default_rng(0)

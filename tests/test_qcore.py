@@ -124,6 +124,14 @@ class TestHaarSampling:
         assert np.array_equal(qcore.haar_random_states(dim, count, seed),
                               expected)
 
+    def test_row_slices_normalise_bit_identically(self):
+        draw = np.random.default_rng(4).standard_normal((2, 1000, 3))
+        whole = qcore.unit_states(draw)
+        for lo, hi in ((0, 1), (0, 256), (300, 1000), (999, 1000)):
+            part = qcore.unit_states(draw[:, lo:hi])
+            assert np.array_equal(part.view(np.int64),
+                                  whole[lo:hi].view(np.int64))
+
     def test_mean_projector_concentrates(self):
         states = qcore.haar_random_states(2, 10 ** 4, 0)
         mean = np.einsum("si,sj->ij", states, states.conj()) / states.shape[0]

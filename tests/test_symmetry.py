@@ -15,6 +15,15 @@ class TestSymAntisymProjectors:
         assert np.trace(p_sym).real == pytest.approx(3.0, abs=1e-12)
         assert np.trace(p_anti).real == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cached_and_read_only(self, d):
+        first = symmetry.sym_antisym_projectors(d)
+        assert symmetry.sym_antisym_projectors(d) is first
+        for p in first:
+            assert not p.flags.writeable
+            with pytest.raises(ValueError):
+                p[0, 0] = 0.0
+
     def test_dim_one(self):
         p_sym, p_anti = symmetry.sym_antisym_projectors(1)
         assert np.allclose(p_sym, [[1.0]]) and np.allclose(p_anti, [[0.0]])

@@ -162,8 +162,7 @@ def _read_instance(path: str, default_grid: int) -> tuple[int, int, int, int]:
 
 
 def cmd_general(args) -> dict:
-    # the only command that solves an LP; it loads SciPy only for HiGHS,
-    # above general._DENSE_MAX_SAMPLES samples
+    # the only command that solves an LP, with general's own dual simplex
     from . import general
 
     started = time.perf_counter()

@@ -5,9 +5,9 @@ outcome count k the weight of isotypic block l; the induced outcome
 distribution at state-pair angle gamma is f_k = sum_l alpha[k, l] beta_l(gamma),
 to be compared in L1 against the binomial target with success probability
 cos^2(gamma). The minimax coefficients are found by linear programming over a
-gamma grid with cutting-plane refinement: a dense dual simplex of this module,
-whose cuts are separated at a stability centre (in-out separation), up to
-m = _DENSE_MAX_SAMPLES = 64 samples, HiGHS (scipy.optimize.milp) above.
+gamma grid with cutting-plane refinement, for every m by one dense dual
+simplex of this module (_CutLP), whose cuts are separated at a stability
+centre (in-out separation); no SciPy is imported.
 """
 
 from __future__ import annotations
@@ -23,13 +23,16 @@ import numpy as np
 from . import qcore, symmetry
 
 _MAX_ROUNDS = 80  # cutting-plane rounds before solve_minimax gives up
-_DENSE_MAX_SAMPLES = 64  # largest m solved by _CutLP; HiGHS above (measured)
-_CUT_TOL = 1e-10  # a working angle erring by more than t + this adds a cut
+_CUT_TOL = 1e-10  # an angle erring by more than t + this is violated
+_MAX_CUTS = 32  # cuts added per separation step, the most violated first (measured)
 _MAX_PIVOTS = 100_000  # simplex pivots over one solve before it gives up
 _COST_NOISE = 1e-7  # scale of the cost perturbation of _CutLP
-_START_ANGLES = 9  # evenly spaced grid angles in the LP's first working set
 _MAX_SAMPLES = 1029  # largest m whose binomial coefficients are finite floats
-_MAX_GRID_POINTS = 65537  # a CLI solve at the limit takes 1-2 s for m <= 64 (measured)
+_MAX_GRID_POINTS = 65537  # a cold CLI run at the limit: 0.6 s at m = 8, 1.7 s at m = 64
+# largest grid_points * (m + 1), the size of the (grid, m+1) arrays of every
+# separation step and of the error profile
+_MAX_TABLE_ENTRIES = 65537 * 65
+_BLOCK_ENTRIES = 1 << 16  # entries of one block of _l1_errors (measured)
 _ZOOM_POINTS = 17  # evenly spaced samples per bracket in each polish step
 _SCAN_SAMPLES = 2049  # evenly spaced angles of the worst-angle scan
 
@@ -46,9 +49,7 @@ def _target_distributions(m: int, gammas: np.ndarray) -> np.ndarray:
     """Binomial distribution of m samples with success probability
     cos^2(gamma) at every angle of ``gammas``, one row each: shape (G, m+1);
     index k counts the 1-outcomes."""
-    c = (np.cos(np.asarray(gammas, dtype=float)) ** 2)[:, None]
-    k = np.arange(m + 1)
-    return _binomial_row(m) * c ** k * (1.0 - c) ** (m - k)
+    return _angle_table(np.ones((1, 1)), m, gammas).target
 
 
 def canonical_pair(d: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,18 +120,24 @@ class GeneralInstance:
 def make_instance(d: int, n: int, m: int,
                   grid_points: int = 129) -> GeneralInstance:
     """Instance whose optimization grid is grid_points equally spaced angles
-    on [0, pi/2]."""
+    on [0, pi/2]; the solver and error_profile hold (grid_points, m+1)
+    arrays, so their size is bounded as well."""
     symmetry.check_supported(d, n)
     if not 1 <= m <= _MAX_SAMPLES:
         raise ValueError(f"m = {m} is out of range: require 1 <= m <= {_MAX_SAMPLES}")
     if not 2 <= grid_points <= _MAX_GRID_POINTS:
         raise ValueError(f"grid_points = {grid_points} is out of range: "
                          f"require 2 <= grid_points <= {_MAX_GRID_POINTS}")
+    if grid_points * (m + 1) > _MAX_TABLE_ENTRIES:
+        raise ValueError(f"grid_points * (m + 1) = {grid_points * (m + 1)} is out "
+                         f"of range: require grid_points * (m + 1) <= "
+                         f"{_MAX_TABLE_ENTRIES}")
     return GeneralInstance(d=d, n=n, m=m,
                            gamma_grid=np.linspace(0.0, math.pi / 2, grid_points),
                            poly=_exact_block_weights(n))
 
 
+@functools.lru_cache(maxsize=None)
 def _exact_block_weights(n: int) -> np.ndarray:
     """Power-basis coefficients in x = cos^2 gamma of every block weight.
 
@@ -138,7 +145,8 @@ def _exact_block_weights(n: int) -> np.ndarray:
     of two spin-n/2 factors, and with |pi>^n = |n/2, n/2>,
     beta_l(x) = sum_{k<=J} C(n, k) x^k (1 - x)^(n-k) c_k with c_k the squared
     Clebsch-Gordan coefficient <n/2, n/2; n/2, k - n/2 | J, k>^2 (one term of
-    Racah's formula). The sums run over exact fractions, each rounded once.
+    Racah's formula). The sums run over exact fractions, each rounded once;
+    the array is shared and read-only.
     """
     f = math.factorial
     coeffs = np.empty((n + 1, n + 1))
@@ -153,6 +161,7 @@ def _exact_block_weights(n: int) -> np.ndarray:
             for i in range(n - k + 1):
                 row[k + i] += (-1) ** i * math.comb(n - k, i) * weight
         coeffs[l] = [float(c) for c in row]
+    coeffs.setflags(write=False)
     return coeffs
 
 
@@ -165,8 +174,7 @@ def beta_polynomials(inst: GeneralInstance) -> np.ndarray:
 def _block_weights(poly: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Block weights at every angle of ``gammas`` from the polynomials of
     beta_polynomials: shape (G, n+1)."""
-    x = np.cos(np.asarray(gammas, dtype=float)) ** 2
-    return np.vander(x, poly.shape[1], increasing=True) @ poly.T
+    return _angle_table(poly, 0, gammas).beta
 
 
 class _AngleTable(NamedTuple):
@@ -177,19 +185,33 @@ class _AngleTable(NamedTuple):
 
 
 def _angle_table(poly: np.ndarray, m: int, gammas: np.ndarray) -> _AngleTable:
-    return _AngleTable(gammas, _block_weights(poly, gammas),
-                       _target_distributions(m, gammas))
+    """Block weights (power basis ``poly``) and binomial targets of m samples
+    at every angle of ``gammas``, both from one table of the powers of
+    x = cos^2 gamma and of 1 - x."""
+    gammas = np.asarray(gammas, dtype=float)
+    x = np.cos(gammas) ** 2
+    degree = max(poly.shape[1] - 1, m)
+    xk, yk = np.stack([x, 1.0 - x])[:, :, None] ** np.arange(degree + 1)
+    return _AngleTable(gammas, xk[:, :poly.shape[1]] @ poly.T,
+                       _binomial_row(m) * xk[:, :m + 1] * yk[:, m::-1])
 
 
 def _l1_errors(alpha: np.ndarray, table: _AngleTable,
                check: bool = False) -> np.ndarray:
     """L1 distance between alpha . beta(gamma) and the binomial target at
     every angle of ``table``; with ``check``, every achieved distribution
-    is validated by qcore.check_outcome_distribution."""
-    f = table.beta @ alpha.T
-    if check:
-        qcore.check_outcome_distribution(f)
-    return np.abs(f - table.target).sum(axis=1)
+    is validated by qcore.check_outcome_distribution. Evaluated in blocks
+    of about _BLOCK_ENTRIES entries, which stay in cache on large tables."""
+    errors = np.empty(table.gammas.size)
+    rows = max(1, _BLOCK_ENTRIES // alpha.shape[0])
+    for i in range(0, errors.size, rows):
+        f = table.beta[i:i + rows] @ alpha.T
+        if check:
+            qcore.check_outcome_distribution(f)
+        f -= table.target[i:i + rows]
+        np.abs(f, out=f)
+        f.sum(axis=1, out=errors[i:i + rows])
+    return errors
 
 
 def achieved_distribution(inst: GeneralInstance, coeffs: CoefficientMatrix,
@@ -232,69 +254,6 @@ def first_sample_marginal(coeffs: CoefficientMatrix) -> CoefficientMatrix:
                              alpha=np.vstack([1.0 - one_row, one_row]))
 
 
-def _solve_on_grid(poly: np.ndarray, m: int,
-                   grid: np.ndarray) -> tuple[np.ndarray, float]:
-    """LP over the given angle grid for m samples and the block weights
-    ``poly`` of beta_polynomials, solved by HiGHS; returns raw coefficients
-    and optimum. solve_minimax calls it only for m > _DENSE_MAX_SAMPLES,
-    and SciPy is imported here, so only those solves load it.
-
-    Variables are alpha[k, l] (flattened), one slack s[g, k] >= 0 per angle
-    and outcome, and the worst-case bound t. Every column of alpha and the
-    block weights sum to 1, so f and p both sum to 1 and
-    ||f - p||_1 = 2 sum_k (f_k - p_k)^+: one-sided slacks suffice. Every
-    angle owns m+2 consecutive rows: f_k - p_k <= s[g, k] for each k, then
-    2 sum_k s[g, k] <= t. The column sums sum_k alpha[k, l] = 1 are the last
-    n+1 rows. HiGHS gets the model through milp without integer variables;
-    its answer must meet every bound and row to 1e-9.
-    """
-    from scipy.optimize import milp
-    from scipy.sparse import csc_array
-
-    n_out, n_blk, n_grid = m + 1, poly.shape[0], grid.size
-    n_alpha = n_out * n_blk
-    n_var = n_alpha + n_out * n_grid + 1
-    t_idx = n_var - 1
-    rows_per_angle = n_out + 1
-    n_ub = n_grid * rows_per_angle
-
-    beta_grid = _block_weights(poly, grid)          # (G, n+1)
-    p_grid = _target_distributions(m, grid)         # (G, m+1)
-
-    # open index grids over (angle g, outcome k, block l)
-    g, k, l = np.ix_(np.arange(n_grid), np.arange(n_out), np.arange(n_blk))
-    out_row = g * rows_per_angle + k                   # (G, m+1, 1)
-    slack = (n_alpha + g * n_out + k)[:, :, 0]         # (G, m+1)
-    bound_row = g[:, :, 0] * rows_per_angle + n_out    # (G, 1)
-    entries = [  # (rows, cols, vals), broadcast against each other
-        (out_row, k * n_blk + l, beta_grid[g, l]),
-        (out_row[:, :, 0], slack, -1.0),
-        (bound_row, slack, 2.0),
-        (bound_row[:, 0], t_idx, -1.0),
-        (n_ub + l[0], k[0] * n_blk + l[0], 1.0),      # column sums
-    ]
-    parts = [np.broadcast_arrays(*e) for e in entries]
-    rows, cols, vals = (np.concatenate([part[i].ravel() for part in parts])
-                        for i in range(3))
-    a = csc_array((vals, (rows, cols)), shape=(n_ub + n_blk, n_var))
-    b_ub = np.concatenate([p_grid, np.zeros((n_grid, 1))], axis=1).ravel()
-    # lower and upper bounds of the variables, then of the rows
-    lo = np.concatenate([np.zeros(n_var), np.full(n_ub, -np.inf), np.ones(n_blk)])
-    hi = np.concatenate([np.ones(n_alpha), np.full(n_var - n_alpha, np.inf),
-                         b_ub, np.ones(n_blk)])
-    c = np.zeros(n_var)
-    c[t_idx] = 1.0
-    res = milp(c, bounds=(lo[:n_var], hi[:n_var]),
-               constraints=(a, lo[n_var:], hi[n_var:]))
-    if res.status != 0:
-        raise RuntimeError(f"LP solve failed (status {res.status}): {res.message}")
-    z = np.concatenate([res.x, a @ res.x])
-    residual = max(np.max(lo - z), np.max(z - hi))
-    if not residual <= 1e-9:
-        raise RuntimeError(f"LP solution violates its constraints by {residual:.3g}")
-    return res.x[:n_alpha].reshape(n_out, n_blk), float(res.fun)
-
-
 def _ratio_test(entries: np.ndarray, values: np.ndarray) -> int | None:
     """Index of the pivot among the entries above 1e-9 of the largest
     magnitude: the least values[j] / entries[j] (negative values count as
@@ -312,22 +271,27 @@ def _ratio_test(entries: np.ndarray, values: np.ndarray) -> int | None:
 
 class _CutLP:
     """The minimax LP over column-stochastic alpha (m+1, n+1) and t >= 0,
-    minimizing t, with one cut per violated working angle, solved by a dense
-    dual simplex that keeps its basis between calls.
+    minimizing t subject to every angle of a table, with cuts added where the
+    error is worst, solved by a dense dual simplex that keeps its basis
+    between calls.
 
     Since f and p both sum to 1, ||f - p||_1 = 2 max_S sum_{k in S} (f_k - p_k),
-    attained at S = {k : f_k > p_k}. A working angle gamma whose error
-    exceeds t adds the cut 2 sum_{k in S} sum_l beta_l(gamma) alpha[k, l] - t
-    <= 2 sum_{k in S} p_k(gamma), and solve repeats until no working angle
-    errs by more than t + _CUT_TOL: the optimum of the slack LP of
-    _solve_on_grid over the same angles.
+    attained at S = {k : f_k > p_k}. An angle gamma whose error exceeds t
+    can add the cut 2 sum_{k in S} sum_l beta_l(gamma) alpha[k, l] - t
+    <= 2 sum_{k in S} p_k(gamma). Each separation step cuts at the local
+    maxima of the error over the sorted angles that err by more than
+    t + _CUT_TOL, and at their neighbours that do, at most _MAX_CUTS of them,
+    the most violated first; a near-duplicate angle beside a peak is thus
+    cut with it. solve repeats until no angle errs by more than t + _CUT_TOL:
+    the optimum of the LP with one slack per angle and outcome,
+    f_k - p_k <= s_k and 2 sum_k s_k <= t, over the same angles.
 
     S comes from in-out separation (Wentges smoothing): ``centre`` starts at
     the uniform alpha 1/(m+1) and moves halfway to the current alpha in
-    every round that adds cuts, and S is read from f at the moved centre,
-    unless that S no longer cuts off the current alpha, in which case S is
-    taken at alpha. Cuts at alpha alone, which jumps around in the early
-    rounds, go slack and are dropped again; the centre's are deeper, so a
+    every separation step that adds cuts, and S is read from f at the moved
+    centre, unless that S no longer cuts off the current alpha, in which
+    case S is taken at alpha. Cuts at alpha alone, which jumps around in the
+    early steps, go slack and are dropped again; the centre's are deeper, so a
     solve takes about a third of the pivots, and only the order of the cuts
     changes, not the optimum.
 
@@ -398,11 +362,11 @@ class _CutLP:
                 continue
             self._drop_slack_cuts()
             alpha, t = self._point()
-            gap = table.beta @ alpha.T - table.target
-            new = np.abs(gap).sum(axis=1) > t + _CUT_TOL
-            added = bool(new.any())
+            new = _cut_angles(_l1_errors(alpha, table), t + _CUT_TOL)
+            added = new.size > 0
             if added:
-                gap, beta, target = gap[new], table.beta[new], table.target[new]
+                beta, target = table.beta[new], table.target[new]
+                gap = beta @ alpha.T - target
                 # S at the separation point between alpha and the centre,
                 # where it still cuts off alpha; at alpha itself elsewhere
                 self.centre = (self.centre + alpha) / 2
@@ -554,6 +518,18 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return (values >= padded[:-2]) & (values > padded[2:])
 
 
+def _cut_angles(errors: np.ndarray, level: float) -> np.ndarray:
+    """Indices of the sorted angles that get a cut: the local maxima of
+    ``errors`` above ``level`` and their neighbours above it, the _MAX_CUTS
+    largest at most, in decreasing order of error."""
+    peak = _local_maxima(errors) & (errors > level)
+    near = peak.copy()
+    near[1:] |= peak[:-1]
+    near[:-1] |= peak[1:]
+    idx = np.flatnonzero(near & (errors > level))
+    return idx[np.argsort(-errors[idx], kind="stable")[:_MAX_CUTS]]
+
+
 def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
                      threshold: float,
                      scan: _AngleTable) -> tuple[np.ndarray, np.ndarray]:
@@ -593,59 +569,29 @@ def solve_minimax(inst: GeneralInstance,
     cutting-plane refinement until the continuous worst case exceeds the
     grid optimum by less than ``refine_tol``.
 
-    Every angle of ``inst.gamma_grid`` constrains the strategy, but each LP
-    sees only a working set: it starts with a few evenly spaced grid angles
-    and grows by every grid local maximum of the error that the last
-    solution violates, until none is left (the exchange method for
-    semi-infinite LPs). Only then are off-grid angles searched; those that
-    exceed the optimum by ``refine_tol`` join the working set and the
-    refined grid. The returned value is the worst case of the sanitized
-    strategy over the refined grid: ``inst.gamma_grid`` plus the added
-    angles.
-
-    For m <= _DENSE_MAX_SAMPLES (64) one _CutLP lives for the whole solve:
-    each working-set step and refinement round only adds cuts to it and
-    resumes from its last basis, and SciPy is never imported. Larger m,
-    where the cut LP needs many more pivots (it reaches _MAX_PIVOTS at
-    (n, m) = (4, 128)), solves each working set with HiGHS (_solve_on_grid)."""
+    One _CutLP lives for the whole solve. Each refinement round solves it,
+    from its last basis, over the refined grid: ``inst.gamma_grid`` plus the
+    off-grid angles added so far; the LP cuts only where the error over that
+    grid peaks (the exchange method for semi-infinite LPs). The off-grid
+    local maximizers of the error that exceed the optimum by ``refine_tol``
+    then join the refined grid. The returned value is the worst case of the
+    sanitized strategy over the refined grid."""
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
-    poly = beta_polynomials(inst)
-    grid = inst.gamma_grid
-    on_grid = _angle_table(poly, inst.m, grid)
-    scan = _angle_table(poly, inst.m,
-                        np.linspace(0.0, math.pi / 2, _SCAN_SAMPLES))
-    active = np.zeros(grid.size, dtype=bool)
-    active[np.round(np.linspace(0, grid.size - 1,
-                                min(_START_ANGLES, grid.size))).astype(int)] = True
-    added = np.empty(0)  # off-grid angles from the continuous refinement
-    if inst.m <= _DENSE_MAX_SAMPLES:
-        lp = _CutLP(poly.shape[0], inst.m)
-
-        def solve(angles):
-            return lp.solve(_angle_table(poly, inst.m, angles))
-    else:
-        solve = functools.partial(_solve_on_grid, poly, inst.m)
+    poly, m = beta_polynomials(inst), inst.m
+    scan = _angle_table(poly, m, np.linspace(0.0, math.pi / 2, _SCAN_SAMPLES))
+    table = _angle_table(poly, m, inst.gamma_grid)
+    lp = _CutLP(poly.shape[0], m)
     for _ in range(_MAX_ROUNDS):
-        while True:  # each pass adds a grid angle, so at most grid.size passes
-            alpha, t = solve(_union(grid[active], added))
-            grid_errors = _l1_errors(alpha, on_grid)
-            level = max(t, float(np.max(grid_errors[active]))) + 1e-12
-            new = _local_maxima(grid_errors) & (grid_errors > level) & ~active
-            if not new.any():
-                break
-            active |= new
-        angles, errors = _violated_angles(alpha, poly, inst.m, t + refine_tol,
-                                          scan)
+        alpha, t = lp.solve(table)
+        angles, errors = _violated_angles(alpha, poly, m, t + refine_tol, scan)
         if np.max(errors) <= t + refine_tol:
             break
-        added = _union(added, angles[errors > t + refine_tol])
+        table = _angle_table(poly, m, _union(table.gammas,
+                                             angles[errors > t + refine_tol]))
     else:
         raise RuntimeError(
             f"grid refinement did not converge within {_MAX_ROUNDS} rounds "
             f"(tolerance {refine_tol})")
-    coeffs = CoefficientMatrix(m=inst.m, n=inst.n, alpha=_sanitize(alpha))
-    profile = _l1_errors(
-        coeffs.alpha, _angle_table(poly, inst.m, _union(grid, added)),
-        check=True)
-    return coeffs, float(np.max(profile))
+    coeffs = CoefficientMatrix(m=m, n=inst.n, alpha=_sanitize(alpha))
+    return coeffs, float(np.max(_l1_errors(coeffs.alpha, table, check=True)))

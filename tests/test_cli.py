@@ -232,6 +232,38 @@ class TestGeneralCommand:
         assert out == ""
         assert f"grid_points <= {limit}" in json.loads(err.strip())["error"]
 
+    def check_largest_table(self, capsys, *argv):
+        code, out, err = run_cli(capsys, "general", *argv)
+        assert code == 0, err
+        res = json.loads(out)["results"]
+        assert len(res["profile"]) == 65537
+        assert res["max_profile_error"] <= res["value_l1"]
+
+    def test_largest_table(self, capsys):
+        self.check_largest_table(capsys, "--d", "2", "--n", "1", "--m", "64",
+                                 "--grid", "65537")
+
+    def test_instance_largest_table(self, capsys, tmp_path):
+        spec = tmp_path / "instance.json"
+        spec.write_text(json.dumps({"d": 2, "n": 1, "m": 64, "grid": 65537}))
+        self.check_largest_table(capsys, "--instance", str(spec))
+
+    def test_table_above_the_limit(self, capsys):
+        from fidest import general
+        limit = general._MAX_TABLE_ENTRIES
+        code, out, err = run_cli(capsys, "general", "--d", "2", "--n", "1",
+                                 "--m", "65", "--grid", "65537")
+        assert code == 1
+        assert out == ""
+        assert f"grid_points * (m + 1) <= {limit}" in json.loads(err.strip())["error"]
+
+    def test_instance_table_above_the_limit(self, capsys, tmp_path):
+        from fidest import general
+        limit = general._MAX_TABLE_ENTRIES
+        error = self.run_instance(capsys, tmp_path,
+                                  {"d": 2, "n": 1, "m": 65, "grid": 65537})
+        assert f"grid_points * (m + 1) <= {limit}" in error
+
     def test_unsupported_range(self, capsys):
         code, _, err = run_cli(capsys, "general", "--d", "4", "--n", "1",
                                "--m", "1")
@@ -261,7 +293,7 @@ class TestGeneralCommand:
         assert code == 1
 
     def test_largest_dense_size(self, capsys):
-        # the largest m of the dense LP; HiGHS misses a row here by 6e-8
+        # HiGHS missed a row here by 6e-8
         report = run_report(capsys, "general", "--d", "2", "--n", "3",
                             "--m", "64")
         res = report["results"]
@@ -416,7 +448,7 @@ class TestImportGraph:
 
     @pytest.mark.parametrize("code", GENERAL_RUNS, ids=["solve_minimax", "cli"])
     def test_general_runs_without_scipy(self, code):
-        # the dense dual simplex solves every LP up to _DENSE_MAX_SAMPLES
+        # the dense dual simplex of general solves every LP
         assert self.loaded_after("scipy", code) == "[]"
 
     @pytest.mark.parametrize("code", GENERAL_RUNS, ids=["solve_minimax", "cli"])
@@ -424,14 +456,11 @@ class TestImportGraph:
         # the cost noise of the dense LP is a fixed sequence, not an RNG
         assert self.loaded_after("numpy.random", code) == "[]"
 
-    def test_general_above_the_threshold_loads_scipy_lazily(self):
-        out = self.run_python(
-            "import sys\n"
-            "from fidest import general\n"
-            "inst = general.make_instance(2, 1, general._DENSE_MAX_SAMPLES + 1,\n"
-            "                             grid_points=33)\n"
-            "before = 'scipy.optimize' in sys.modules\n"
-            "coeffs, value = general.solve_minimax(inst)\n"
-            "worst = general.error_profile(inst, coeffs).max()\n"
-            "print(before, 'scipy.optimize' in sys.modules, worst <= value)")
-        assert out.stdout.split() == ["False", "True", "True"]
+    @pytest.mark.parametrize("m", [65, 128])
+    def test_general_above_64_samples_runs_without_scipy(self, m):
+        # every m goes through the dense dual simplex
+        code = ("from fidest import general\n"
+                f"inst = general.make_instance(2, 1, {m}, grid_points=33)\n"
+                "coeffs, value = general.solve_minimax(inst)\n"
+                "assert general.error_profile(inst, coeffs).max() <= value\n")
+        assert self.loaded_after("scipy", code) == "[]"

@@ -1,10 +1,8 @@
 import math
-import types
 import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -156,8 +154,8 @@ class TestSolveMinimax:
         coarse = general.make_instance(2, 1, 2, grid_points=33)
         fine = general.make_instance(2, 1, 2, grid_points=65)
         assert np.all(np.isin(coarse.gamma_grid, fine.gamma_grid))
-        _, v_coarse = general._solve_on_grid(coarse.poly, 2, coarse.gamma_grid)
-        _, v_fine = general._solve_on_grid(fine.poly, 2, fine.gamma_grid)
+        _, v_coarse = linprog_oracle(coarse, coarse.gamma_grid)
+        _, v_fine = linprog_oracle(fine, fine.gamma_grid)
         assert v_fine >= v_coarse - 1e-9
 
     def test_two_copies_embedding_bound(self):
@@ -248,6 +246,25 @@ class TestBatchedEvaluation:
                       for k in range(m + 1)]
             assert np.max(np.abs(row - scalar)) < 1e-15
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (4, 2), (2, 9), (4, 64)])
+    def test_table_matches_the_vandermonde_form(self, n, m):
+        gammas = np.concatenate([np.linspace(0.0, math.pi / 2, 41), [0.123]])
+        poly = general.make_instance(2, n, m, grid_points=9).poly
+        table = general._angle_table(poly, m, gammas)
+        x = np.cos(gammas)[:, None] ** 2
+        vander = np.vander(x[:, 0], n + 1, increasing=True) @ poly.T
+        assert np.max(np.abs(table.beta - vander)) < 1e-15
+        k = np.arange(m + 1)
+        binomial = general._binomial_row(m) * x ** k * (1.0 - x) ** (m - k)
+        assert np.array_equal(table.target, binomial)
+
+    def test_block_weights_are_shared_and_read_only(self):
+        poly = general._exact_block_weights(3)
+        assert general._exact_block_weights(3) is poly
+        assert general.make_instance(3, 3, 2, grid_points=9).poly is poly
+        with pytest.raises(ValueError):
+            poly[0, 0] = 2.0
+
     def test_binomial_row_is_shared_and_read_only(self):
         row = general._binomial_row(6)
         assert general._binomial_row(6) is row
@@ -306,7 +323,7 @@ class TestCuttingPlanes:
         # the LP bounds 2 sum_k (f_k - p_k)^+, which is the L1 distance
         # only because f and p both sum to 1
         inst = general.make_instance(d, n, m)
-        alpha, t = general._solve_on_grid(inst.poly, m, inst.gamma_grid)
+        alpha, t = linprog_oracle(inst, inst.gamma_grid)
         errors = l1_errors(alpha, inst.poly, m, inst.gamma_grid)
         assert t == pytest.approx(float(np.max(errors)), abs=1e-8)
 
@@ -408,47 +425,6 @@ def linprog_oracle(inst, grid):
     return res.x[:n_alpha].reshape(m + 1, n + 1), res.fun
 
 
-class TestGridLP:
-    """_solve_on_grid hands HiGHS the model that linprog built for it."""
-
-    @pytest.mark.parametrize("working_set", ["grid", "irregular"])
-    @pytest.mark.parametrize("d,n,m", [(2, 1, 1), (2, 2, 4), (2, 4, 8),
-                                       (3, 3, 8)])
-    def test_matches_linprog(self, d, n, m, working_set):
-        inst = general.make_instance(d, n, m)
-        grid = inst.gamma_grid
-        if working_set == "irregular":
-            grid = np.union1d(grid[[0, 5, 17, 40, 63, 64, 100, 128]],
-                              [0.0123, 0.4567, 0.9, 1.3579])
-        alpha, t = general._solve_on_grid(inst.poly, m, grid)
-        ref_alpha, ref_t = linprog_oracle(inst, grid)
-        assert t == pytest.approx(ref_t, abs=1e-12)
-        assert np.max(np.abs(alpha - ref_alpha)) <= 1e-12
-
-    def test_failed_solve_raises(self, monkeypatch):
-        failed = types.SimpleNamespace(status=1, message="Iteration limit reached",
-                                       x=None, fun=None)
-        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: failed)
-        inst = general.make_instance(2, 2, 4)
-        with pytest.raises(RuntimeError, match="status 1"):
-            general._solve_on_grid(inst.poly, 4, inst.gamma_grid)
-
-    @pytest.mark.parametrize("corrupt", ["row", "nan"])
-    def test_infeasible_answer_raises(self, monkeypatch, corrupt):
-        milp = scipy.optimize.milp
-
-        def broken(*args, **kwargs):
-            res = milp(*args, **kwargs)
-            # t below the worst angle's bound row, or no number at all
-            res.x[-1] = res.x[-1] - 1e-6 if corrupt == "row" else math.nan
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "milp", broken)
-        inst = general.make_instance(2, 2, 4)
-        with pytest.raises(RuntimeError, match="violates its constraints"):
-            general._solve_on_grid(inst.poly, 4, inst.gamma_grid)
-
-
 def ratio_test_oracle(entries, values):
     """The dense LP's pivot rule in its first, plain form."""
     cand = np.flatnonzero(entries > 1e-9 * np.max(np.abs(entries)))
@@ -525,12 +501,17 @@ class TestDenseLP:
         assert np.max(l1_errors(alpha, inst.poly, m, angles)) <= t + 1e-10
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(1, 4), st.integers(1, general._DENSE_MAX_SAMPLES),
+    @given(st.integers(1, 4), st.integers(1, 64),
            st.sets(st.integers(0, 128), min_size=1, max_size=24),
            st.lists(st.floats(0.0, math.pi / 2), max_size=8))
     def test_matches_linprog_optimum(self, n, m, on_grid, off_grid):
         grid = np.linspace(0.0, math.pi / 2, 129)
         self.check_optimum(n, m, np.union1d(grid[sorted(on_grid)], off_grid))
+
+    def test_near_duplicate_angles(self):
+        # a peak's neighbour 1e-6 away would otherwise end within _CUT_TOL
+        # of t without a cut of its own
+        self.check_optimum(1, 2, np.array([0.0, 1e-6, 1.0]))
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 8), (4, 12)])
     def test_cleanup_returns_to_the_optimum_of_t(self, monkeypatch, n, m):
@@ -554,13 +535,39 @@ class TestDenseLP:
         return sum(lp.pivots for lp in lps)
 
     def test_pivots_over_the_benchmark_instances(self, monkeypatch):
-        # cuts separated at alpha alone take 918 pivots
+        # cuts separated at alpha alone take 918 pivots, and 294 with an
+        # LP per working set of grid angles
         instances = [(2, n, m) for n in range(1, 5) for m in (1, 2, 4, 8)]
-        assert self.count_pivots(monkeypatch, instances) <= 450
+        assert self.count_pivots(monkeypatch, instances) <= 285
 
     def test_pivots_at_many_samples(self, monkeypatch):
         # cuts separated at alpha alone take 13502 pivots
         assert self.count_pivots(monkeypatch, [(2, 3, 32)]) <= 1000
+
+    def test_pivots_at_64_samples(self, monkeypatch):
+        # 2611 with an LP per working set of grid angles
+        assert self.count_pivots(monkeypatch, [(2, 4, 64)]) <= 720
+
+    def test_cuts_per_step_are_capped(self, monkeypatch):
+        # the error of the first strategies is flat up to round-off, so a
+        # fine grid has thousands of violated local maxima
+        counts = []
+        add_cuts = general._CutLP._add_cuts
+
+        def recording_add_cuts(self, beta, target, over):
+            counts.append(over.shape[0])
+            add_cuts(self, beta, target, over)
+
+        monkeypatch.setattr(general._CutLP, "_add_cuts", recording_add_cuts)
+        inst = general.make_instance(3, 4, 8, grid_points=65537)
+        general.solve_minimax(inst)
+        assert max(counts) == general._MAX_CUTS
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_solves_above_64_samples(self, n):
+        inst = general.make_instance(2, n, 128)
+        coeffs, value = general.solve_minimax(inst)
+        assert float(np.max(general.error_profile(inst, coeffs))) <= value
 
     def test_pivot_cap_raises(self, monkeypatch):
         monkeypatch.setattr(general, "_MAX_PIVOTS", 3)
@@ -577,8 +584,8 @@ class TestDenseLP:
 
 
 class TestLazyGrid:
-    """Each LP sees only a working set of angles, yet the returned strategy
-    answers for every angle of the instance grid."""
+    """The LP cuts only where the error over the grid peaks, yet the
+    returned strategy answers for every angle of the instance grid."""
 
     @pytest.mark.parametrize("grid_points", [2, 3, 17, 129, 1025])
     @pytest.mark.parametrize("d,n,m", [(2, 1, 1), (2, 4, 8), (2, 2, 16)])
@@ -586,8 +593,7 @@ class TestLazyGrid:
         inst = general.make_instance(d, n, m, grid_points=grid_points)
         coeffs, value = general.solve_minimax(inst)
         assert float(np.max(general.error_profile(inst, coeffs))) <= value + 1e-12
-        _, full_grid_optimum = general._solve_on_grid(inst.poly, m,
-                                                      inst.gamma_grid)
+        _, full_grid_optimum = linprog_oracle(inst, inst.gamma_grid)
         assert value >= full_grid_optimum - 1e-12
 
     # recorded with every grid angle in every LP
@@ -707,6 +713,17 @@ class TestInstanceValidation:
         inst = general.make_instance(2, 1, 1,
                                      grid_points=general._MAX_GRID_POINTS)
         assert inst.gamma_grid.size == general._MAX_GRID_POINTS
+
+    def test_rejects_table_above_the_limit(self):
+        # the largest grid with one sample more than the limit allows
+        with pytest.raises(ValueError, match=r"grid_points \* \(m \+ 1\) <= "
+                                             f"{general._MAX_TABLE_ENTRIES}"):
+            general.make_instance(2, 1, 65, grid_points=general._MAX_GRID_POINTS)
+
+    def test_largest_table_is_accepted(self):
+        inst = general.make_instance(2, 1, 64,
+                                     grid_points=general._MAX_GRID_POINTS)
+        assert inst.gamma_grid.size * (inst.m + 1) == general._MAX_TABLE_ENTRIES
 
     def test_largest_sample_count_has_finite_targets(self):
         inst = general.make_instance(2, 1, 1029, grid_points=5)

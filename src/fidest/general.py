@@ -20,8 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qcore, symmetry
+from . import qcore
 
+# accepted d and n: the range on which the tests check the closed-form block
+# weights against the d^n operator construction; d only labels the report
+_MAX_LOCAL_DIM = 3
+_MAX_COPIES = 4
 _MAX_ROUNDS = 80  # cutting-plane rounds before solve_minimax gives up
 _CUT_TOL = 1e-10  # an angle erring by more than t + this is violated
 _MAX_CUTS = 32  # cuts added per separation step, the most violated first (measured)
@@ -43,30 +47,6 @@ def _binomial_row(m: int) -> np.ndarray:
     row = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float)
     row.setflags(write=False)
     return row
-
-
-def _target_distributions(m: int, gammas: np.ndarray) -> np.ndarray:
-    """Binomial distribution of m samples with success probability
-    cos^2(gamma) at every angle of ``gammas``, one row each: shape (G, m+1);
-    index k counts the 1-outcomes."""
-    return _angle_table(np.ones((1, 1)), m, gammas).target
-
-
-def canonical_pair(d: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic state pair with squared overlap cos^2(gamma)."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    e0, e1 = np.eye(d, dtype=complex)[:2]
-    return e0, math.cos(gamma) * e0 + math.sin(gamma) * e1
-
-
-def beta_for_angle(dec: symmetry.IsotypicDecomposition,
-                   emb: symmetry.SymmetricEmbedding, gamma: float) -> np.ndarray:
-    """Block weights of the canonical n-copy pair at angle gamma."""
-    pi, tau = canonical_pair(dec.d, gamma)
-    v = np.kron(symmetry.embed_state_power(pi, emb),
-                symmetry.embed_state_power(tau, emb))
-    return np.array([float(np.real(v.conj() @ p @ v)) for p in dec.projectors])
 
 
 @dataclass(frozen=True)
@@ -106,23 +86,16 @@ class GeneralInstance:
         self.gamma_grid.setflags(write=False)
         self.poly.setflags(write=False)
 
-    @property
-    def dec(self) -> symmetry.IsotypicDecomposition:
-        """Isotypic projectors for (d, n); the minimax solver never needs
-        them."""
-        return symmetry.isotypic_projectors(self.d, self.n)
-
-    @property
-    def emb(self) -> symmetry.SymmetricEmbedding:
-        return symmetry.symmetric_embedding(self.d, self.n)
-
 
 def make_instance(d: int, n: int, m: int,
                   grid_points: int = 129) -> GeneralInstance:
     """Instance whose optimization grid is grid_points equally spaced angles
     on [0, pi/2]; the solver and error_profile hold (grid_points, m+1)
     arrays, so their size is bounded as well."""
-    symmetry.check_supported(d, n)
+    if not (2 <= d <= _MAX_LOCAL_DIM and 1 <= n <= _MAX_COPIES):
+        raise ValueError(
+            f"unsupported range: require 2 <= d <= {_MAX_LOCAL_DIM} "
+            f"and 1 <= n <= {_MAX_COPIES}, got d={d}, n={n}")
     if not 1 <= m <= _MAX_SAMPLES:
         raise ValueError(f"m = {m} is out of range: require 1 <= m <= {_MAX_SAMPLES}")
     if not 2 <= grid_points <= _MAX_GRID_POINTS:
@@ -171,12 +144,6 @@ def beta_polynomials(inst: GeneralInstance) -> np.ndarray:
     return inst.poly
 
 
-def _block_weights(poly: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Block weights at every angle of ``gammas`` from the polynomials of
-    beta_polynomials: shape (G, n+1)."""
-    return _angle_table(poly, 0, gammas).beta
-
-
 class _AngleTable(NamedTuple):
     """Angles with their block weights (G, n+1) and binomial targets (G, m+1)."""
     gammas: np.ndarray
@@ -218,7 +185,7 @@ def achieved_distribution(inst: GeneralInstance, coeffs: CoefficientMatrix,
                           gamma: float) -> np.ndarray:
     """Outcome-count distribution f = alpha . beta(gamma)."""
     _check_shape(inst, coeffs)
-    f = coeffs.alpha @ _block_weights(inst.poly, np.array([gamma]))[0]
+    f = coeffs.alpha @ _angle_table(inst.poly, 0, np.array([gamma])).beta[0]
     return qcore.check_outcome_distribution(f)
 
 
@@ -234,24 +201,6 @@ def error_profile(inst: GeneralInstance, coeffs: CoefficientMatrix) -> np.ndarra
     _check_shape(inst, coeffs)
     table = _angle_table(beta_polynomials(inst), inst.m, inst.gamma_grid)
     return _l1_errors(coeffs.alpha, table, check=True)
-
-
-def effect_operators(inst: GeneralInstance, coeffs: CoefficientMatrix) -> list[np.ndarray]:
-    """The measurement effects F_k = sum_l alpha[k, l] S_l."""
-    return [sum(coeffs.alpha[k, l] * inst.dec.projectors[l]
-                for l in range(inst.n + 1))
-            for k in range(inst.m + 1)]
-
-
-def first_sample_marginal(coeffs: CoefficientMatrix) -> CoefficientMatrix:
-    """Strategy induced on the first sample alone: within outcome count k,
-    the first sample reads 1 with probability k/m."""
-    if coeffs.m < 2:
-        raise ValueError("marginalization needs m >= 2")
-    weights = np.arange(coeffs.m + 1) / coeffs.m
-    one_row = weights @ coeffs.alpha
-    return CoefficientMatrix(m=1, n=coeffs.n,
-                             alpha=np.vstack([1.0 - one_row, one_row]))
 
 
 def _ratio_test(entries: np.ndarray, values: np.ndarray) -> int | None:

@@ -102,16 +102,6 @@ def trace_fidelity(p, t) -> float:
     return float(((x + y) / 2).real)
 
 
-def kron_power(a, n: int) -> np.ndarray:
-    """n-fold Kronecker power of an operator or vector."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = np.asarray(a, dtype=complex)
-    for _ in range(n - 1):
-        out = np.kron(out, a)
-    return out
-
-
 def haar_random_state(dim: int, seed) -> np.ndarray:
     """Uniformly random unit vector; deterministic per seed."""
     if dim < 1:
@@ -160,26 +150,6 @@ def matrix_unit_basis(d: int) -> list[np.ndarray]:
     """The d^2 matrix units E_ij, orthonormal under the trace inner product,
     in row-major order of (i, j)."""
     return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
-
-
-def gell_mann_basis(d: int) -> list[np.ndarray]:
-    """Hermitian trace-orthonormal operator basis (identity plus generalized
-    Gell-Mann matrices, each normalized to unit Hilbert-Schmidt norm)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    out = [np.eye(d, dtype=complex) / math.sqrt(d)]
-    for upper, lower in ((1.0, 1.0), (-1.0j, 1.0j)):  # symmetric, antisymmetric
-        for k in range(1, d):
-            for j in range(k):
-                m = np.zeros((d, d), dtype=complex)
-                m[j, k], m[k, j] = upper, lower
-                out.append(m / math.sqrt(2))
-    for ell in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(ell), np.arange(ell)] = 1.0
-        m[ell, ell] = -float(ell)
-        out.append(m / math.sqrt(ell * (ell + 1)))
-    return out
 
 
 def matrix_to_json(m) -> dict:

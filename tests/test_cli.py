@@ -8,6 +8,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fidest import cli, qcore, symmetry
 
@@ -300,6 +302,51 @@ class TestGeneralCommand:
         assert res["max_profile_error"] <= res["value_l1"]
 
 
+# any JSON document, and {d, n, m, grid?} specs whose sizes sit at and beside
+# the edges of the accepted range (2 <= d <= 3, 1 <= n <= 4, 1 <= m,
+# 2 <= grid <= 65537), with any JSON value in place of some of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+SIZE_EDGES = {"d": st.integers(0, 4), "n": st.integers(0, 5),
+              "m": st.integers(0, 3), "grid": st.sampled_from([0, 1, 2, 3, 65538])}
+
+
+def instance_specs(values):
+    """Specs with keys d, n, m and maybe grid, each drawn from ``values``."""
+    return st.fixed_dictionaries(
+        {key: values(edge) for key, edge in SIZE_EDGES.items() if key != "grid"},
+        optional={"grid": values(SIZE_EDGES["grid"])})
+
+
+INSTANCE_SPECS = st.one_of(instance_specs(lambda edge: edge),
+                           instance_specs(lambda edge: edge | JSON_VALUES),
+                           JSON_VALUES)
+
+
+class TestInstanceProperty:
+    # each example rewrites the spec file and reads the whole capture, so the
+    # function-scoped fixtures carry nothing from one example to the next
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(INSTANCE_SPECS)
+    def test_report_or_one_error_line(self, capsys, tmp_path, spec):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "general", "--instance", str(path))
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert err == ""
+            jsonschema.validate(json.loads(out), SCHEMA)
+        else:
+            assert code == 1
+            assert out == ""
+            assert err.endswith("\n") and "\n" not in err[:-1]
+            assert isinstance(json.loads(err)["error"], str)
+
+
 def assert_usage_error(code, out, err):
     assert code == 2
     assert out == ""
@@ -455,6 +502,10 @@ class TestImportGraph:
     def test_general_runs_without_numpy_random(self, code):
         # the cost noise of the dense LP is a fixed sequence, not an RNG
         assert self.loaded_after("numpy.random", code) == "[]"
+
+    def test_solve_minimax_does_not_load_symmetry(self):
+        # the closed-form block weights need no operator on H+^n
+        assert self.loaded_after("fidest.symmetry", GENERAL_RUNS[0]) == "[]"
 
     @pytest.mark.parametrize("m", [65, 128])
     def test_general_above_64_samples_runs_without_scipy(self, m):

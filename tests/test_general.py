@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from fidest import general, qcore, symmetry
+from fidest import general, symmetry
+
+import oracle
 
 SUPPORTED_PAIRS = [(d, n) for d in (2, 3) for n in (1, 2, 3, 4)]
 
@@ -21,7 +23,7 @@ def random_coefficients(m, n, rng):
 
 def target(m, gamma):
     """Binomial target at one angle, through the batched evaluation."""
-    return general._target_distributions(m, [gamma])[0]
+    return general._angle_table(np.ones((1, 1)), m, [gamma]).target[0]
 
 
 def l1_errors(alpha, poly, m, gammas):
@@ -97,11 +99,12 @@ class TestDualRouteReduction:
         inst = general.make_instance(d, n, 2, grid_points=9)
         rng = np.random.default_rng(d * 10 + n)
         coeffs = random_coefficients(2, n, rng)
-        j = np.kron(inst.emb.basis, inst.emb.basis)
-        effects = general.effect_operators(inst, coeffs)
+        emb = oracle.symmetric_embedding(d, n)
+        j = np.kron(emb.basis, emb.basis)
+        effects = oracle.effect_operators(inst, coeffs)
         for gamma in (0.2, 0.9, 1.4):
-            phi, theta = general.canonical_pair(d, gamma)
-            big = np.kron(qcore.kron_power(phi, n), qcore.kron_power(theta, n))
+            phi, theta = oracle.canonical_pair(d, gamma)
+            big = np.kron(oracle.kron_power(phi, n), oracle.kron_power(theta, n))
             w = j.conj().T @ big
             direct = np.array([float(np.real(w.conj() @ fk @ w)) for fk in effects])
             reduced = general.achieved_distribution(inst, coeffs, gamma)
@@ -167,7 +170,8 @@ class TestSolveMinimax:
         # measuring 2/3 P_sym on one copy from each side is a feasible
         # two-copy strategy and reproduces the single-copy worst case
         inst = general.make_instance(2, 2, 1, grid_points=129)
-        emb = inst.emb
+        dec = oracle.isotypic_projectors(inst.d, inst.n)
+        emb = oracle.symmetric_embedding(inst.d, inst.n)
         p_sym, _ = symmetry.sym_antisym_projectors(2)
         d = 2
         g_full = np.zeros((16, 16), dtype=complex)
@@ -184,7 +188,7 @@ class TestSolveMinimax:
         f1 = (2 / 3) * (j.conj().T @ g_full @ j)
         alpha_one = np.array([
             float(np.real(np.trace(f1 @ p))) / dim
-            for p, dim in zip(inst.dec.projectors, inst.dec.dims)
+            for p, dim in zip(dec.projectors, dec.dims)
         ])
         assert np.all(alpha_one > -1e-12) and np.all(alpha_one < 1 + 1e-12)
         coeffs = general.CoefficientMatrix(
@@ -203,7 +207,7 @@ class TestSolveMinimax:
         assert value / 2 >= 1 / 3 - 1e-6
         # marginalizing to the first sample stays feasible and cannot beat
         # the single-sample optimum
-        marg = general.first_sample_marginal(coeffs)
+        marg = oracle.first_sample_marginal(coeffs)
         m1 = general.make_instance(2, 1, 1, grid_points=129)
         assert np.array_equal(m1.gamma_grid, inst.gamma_grid)
         m1_coeffs, m1_value = general.solve_minimax(m1, refine_tol=1e-6)
@@ -238,7 +242,7 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     def test_batched_target_matches_rows(self, m):
         gammas = np.concatenate([np.linspace(0.0, math.pi / 2, 41), [0.123]])
-        batched = general._target_distributions(m, gammas)
+        batched = general._angle_table(np.ones((1, 1)), m, gammas).target
         assert batched.shape == (gammas.size, m + 1)
         for row, g in zip(batched, gammas):
             c = math.cos(g) ** 2
@@ -395,8 +399,8 @@ def linprog_oracle(inst, grid):
     m, n = inst.m, inst.n
     n_alpha = (m + 1) * (n + 1)
     n_var = n_alpha + (m + 1) * grid.size + 1
-    beta = general._block_weights(inst.poly, grid)
-    p = general._target_distributions(m, grid)
+    table = general._angle_table(inst.poly, m, grid)
+    beta, p = table.beta, table.target
     rows, cols, vals, b_ub = [], [], [], []
     for g in range(grid.size):
         slacks = n_alpha + g * (m + 1) + np.arange(m + 1)
@@ -618,10 +622,11 @@ class TestBetaPolynomials:
     def test_holds_at_held_out_angles(self, d, n):
         inst = general.make_instance(d, n, 1, grid_points=9)
         poly = general.beta_polynomials(inst)
+        dec = oracle.isotypic_projectors(d, n)
+        emb = oracle.symmetric_embedding(d, n)
         xs = np.linspace(0.05, 0.95, 10)
         for x in xs:
-            direct = general.beta_for_angle(inst.dec, inst.emb,
-                                            math.acos(math.sqrt(x)))
+            direct = oracle.beta_for_angle(dec, emb, math.acos(math.sqrt(x)))
             fitted = np.vander([x], n + 1, increasing=True)[0] @ poly.T
             assert np.max(np.abs(direct - fitted)) < 1e-12
 
@@ -643,10 +648,10 @@ class TestBetaPolynomials:
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_nonnegative_on_fine_sweep(self, d, n):
-        dec = symmetry.isotypic_projectors(d, n)
-        emb = symmetry.symmetric_embedding(d, n)
+        dec = oracle.isotypic_projectors(d, n)
+        emb = oracle.symmetric_embedding(d, n)
         worst = min(
-            float(general.beta_for_angle(dec, emb, g).min())
+            float(oracle.beta_for_angle(dec, emb, g).min())
             for g in np.linspace(0.0, math.pi / 2, 1000)
         )
         assert worst > -1e-10
@@ -658,7 +663,7 @@ class TestBetaPolynomials:
         again = general.make_instance(2, 2, 1, grid_points=9)
         assert np.array_equal(again.poly, inst.poly)
 
-    @pytest.mark.parametrize("n", range(1, symmetry.MAX_COPIES + 1))
+    @pytest.mark.parametrize("n", range(1, oracle.MAX_COPIES + 1))
     def test_independent_of_local_dimension(self, n):
         # the canonical pair spans two levels whatever d is
         qubit = general.make_instance(2, n, 1, grid_points=9)
@@ -688,7 +693,7 @@ class TestCoefficientMatrix:
     def test_marginal_requires_two_samples(self):
         coeffs = general.CoefficientMatrix(m=1, n=1, alpha=np.eye(2))
         with pytest.raises(ValueError, match="m >= 2"):
-            general.first_sample_marginal(coeffs)
+            oracle.first_sample_marginal(coeffs)
 
 
 class TestInstanceValidation:
@@ -727,6 +732,6 @@ class TestInstanceValidation:
 
     def test_largest_sample_count_has_finite_targets(self):
         inst = general.make_instance(2, 1, 1029, grid_points=5)
-        p = general._target_distributions(inst.m, inst.gamma_grid)
+        p = general._angle_table(np.ones((1, 1)), inst.m, inst.gamma_grid).target
         assert np.all(np.isfinite(p))
         assert np.allclose(p.sum(axis=1), 1.0)

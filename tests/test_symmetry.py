@@ -1,10 +1,15 @@
+"""Tests of fidest.symmetry, and of the d^n reference construction in
+oracle.py against which the closed-form block weights are checked."""
+
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fidest import general, qcore, symmetry
+from fidest import qcore, symmetry
+
+import oracle
 
 SUPPORTED_PAIRS = [(d, n) for d in (2, 3) for n in (1, 2, 3, 4)]
 
@@ -76,12 +81,12 @@ class TestSymAntisymProjectors:
 
 class TestSymmetricEmbedding:
     def test_single_copy_is_identity(self):
-        emb = symmetry.symmetric_embedding(2, 1)
+        emb = oracle.symmetric_embedding(2, 1)
         assert emb.dim_plus == 2
         assert np.allclose(emb.basis, np.eye(2))
 
     def test_two_qubit_triplet_basis(self):
-        emb = symmetry.symmetric_embedding(2, 2)
+        emb = oracle.symmetric_embedding(2, 2)
         assert emb.dim_plus == 3
         expected = np.zeros((4, 3))
         expected[0, 0] = 1.0                       # |00>
@@ -90,12 +95,12 @@ class TestSymmetricEmbedding:
         assert np.max(np.abs(emb.basis - expected)) < 1e-15
 
     def test_qutrit_pair_count(self):
-        emb = symmetry.symmetric_embedding(3, 2)
+        emb = oracle.symmetric_embedding(3, 2)
         assert emb.dim_plus == math.comb(3 + 2 - 1, 3 - 1) == 6
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_orthonormal_and_permutation_invariant(self, d, n):
-        emb = symmetry.symmetric_embedding(d, n)
+        emb = oracle.symmetric_embedding(d, n)
         gram = emb.basis.conj().T @ emb.basis
         assert np.max(np.abs(gram - np.eye(emb.dim_plus))) < 1e-12
         for t in range(n - 1):
@@ -107,36 +112,36 @@ class TestSymmetricEmbedding:
 
 class TestEmbedStatePower:
     def test_single_copy(self):
-        emb = symmetry.symmetric_embedding(2, 1)
+        emb = oracle.symmetric_embedding(2, 1)
         s = qcore.haar_random_state(2, 0)
-        assert np.max(np.abs(symmetry.embed_state_power(s, emb) - s)) < 1e-15
+        assert np.max(np.abs(oracle.embed_state_power(s, emb) - s)) < 1e-15
 
     def test_basis_state_power(self):
-        emb = symmetry.symmetric_embedding(2, 2)
-        out = symmetry.embed_state_power([1.0, 0.0], emb)
+        emb = oracle.symmetric_embedding(2, 2)
+        out = oracle.embed_state_power([1.0, 0.0], emb)
         assert np.max(np.abs(out - np.array([1.0, 0.0, 0.0]))) < 1e-15
 
     def test_plus_state_power(self):
-        emb = symmetry.symmetric_embedding(2, 2)
+        emb = oracle.symmetric_embedding(2, 2)
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
-        out = symmetry.embed_state_power(plus, emb)
+        out = oracle.embed_state_power(plus, emb)
         expected = np.array([0.5, 1 / math.sqrt(2), 0.5])
         assert np.max(np.abs(out - expected)) < 1e-14
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_matches_kron_power_oracle(self, d, n):
-        emb = symmetry.symmetric_embedding(d, n)
+        emb = oracle.symmetric_embedding(d, n)
         for seed in range(3):
             s = qcore.haar_random_state(d, seed)
-            direct = emb.basis.conj().T @ qcore.kron_power(s, n)
-            closed = symmetry.embed_state_power(s, emb)
+            direct = emb.basis.conj().T @ oracle.kron_power(s, n)
+            closed = oracle.embed_state_power(s, emb)
             assert np.max(np.abs(direct - closed)) < 1e-12
             assert np.linalg.norm(closed) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        emb = symmetry.symmetric_embedding(2, 2)
+        emb = oracle.symmetric_embedding(2, 2)
         with pytest.raises(ValueError, match="match"):
-            symmetry.embed_state_power([1.0, 0.0, 0.0], emb)
+            oracle.embed_state_power([1.0, 0.0, 0.0], emb)
 
 
 def dense_collective_generators(emb):
@@ -164,14 +169,14 @@ def dense_collective_generators(emb):
 class TestCollectiveGenerators:
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_matches_kronecker_sum_oracle(self, d, n):
-        emb = symmetry.symmetric_embedding(d, n)
-        got = symmetry.collective_generators(emb)
+        emb = oracle.symmetric_embedding(d, n)
+        got = oracle.collective_generators(emb)
         assert np.max(np.abs(got - dense_collective_generators(emb))) < 1e-12
 
 
 class TestIsotypicProjectors:
     def test_single_copy_matches_exchange_projectors(self):
-        dec = symmetry.isotypic_projectors(2, 1)
+        dec = oracle.isotypic_projectors(2, 1)
         p_sym, p_anti = symmetry.sym_antisym_projectors(2)
         assert dec.dims == (3, 1)
         assert np.max(np.abs(dec.projectors[0] - p_sym)) < 1e-8
@@ -179,17 +184,17 @@ class TestIsotypicProjectors:
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_completeness_dimension_count(self, d, n):
-        dec = symmetry.isotypic_projectors(d, n)
+        dec = oracle.isotypic_projectors(d, n)
         dim_plus = math.comb(n + d - 1, d - 1)
         assert sum(dec.dims) == dim_plus ** 2
 
     def test_two_copy_qubit_block_dims(self):
-        dec = symmetry.isotypic_projectors(2, 2)
+        dec = oracle.isotypic_projectors(2, 2)
         assert dec.dims == (5, 3, 1)  # Clebsch-Gordan: 3 x 3 = 5 + 3 + 1
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_projector_algebra(self, d, n):
-        dec = symmetry.isotypic_projectors(d, n)
+        dec = oracle.isotypic_projectors(d, n)
         dim = dec.space_dim
         for p in dec.projectors:
             assert np.max(np.abs(p - p.conj().T)) < 1e-8
@@ -200,22 +205,22 @@ class TestIsotypicProjectors:
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_commutes_with_collective_action(self, d, n):
-        dec = symmetry.isotypic_projectors(d, n)
-        emb = symmetry.symmetric_embedding(d, n)
+        dec = oracle.isotypic_projectors(d, n)
+        emb = oracle.symmetric_embedding(d, n)
         for seed in range(10):
             u = qcore.haar_random_unitary(d, seed)
-            k = np.kron(symmetry.embed_unitary(u, emb),
-                        symmetry.embed_unitary(u, emb))
+            k = np.kron(oracle.embed_unitary(u, emb),
+                        oracle.embed_unitary(u, emb))
             for p in dec.projectors:
                 assert np.max(np.abs(k @ p - p @ k)) < 1e-7
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_block_eigenvalues_and_dims(self, d, n):
         # X = sum_ab g_ab (x) g_ba is (n - l)^2 - l on block l
-        gens = symmetry.collective_generators(symmetry.symmetric_embedding(d, n))
+        gens = oracle.collective_generators(oracle.symmetric_embedding(d, n))
         x = sum(np.kron(gens[a, b], gens[b, a])
                 for a in range(d) for b in range(d))
-        dec = symmetry.isotypic_projectors(d, n)
+        dec = oracle.isotypic_projectors(d, n)
         for l, p in enumerate(dec.projectors):
             assert np.max(np.abs(x @ p - ((n - l) ** 2 - l) * p)) < 1e-10
             assert np.trace(p).real == pytest.approx(
@@ -224,24 +229,24 @@ class TestIsotypicProjectors:
 
     def test_rejects_trivial_and_oversized(self):
         with pytest.raises(ValueError):
-            symmetry.isotypic_projectors(1, 2)
+            oracle.isotypic_projectors(1, 2)
         with pytest.raises(ValueError, match="unsupported"):
-            symmetry.isotypic_projectors(4, 1)
+            oracle.isotypic_projectors(4, 1)
         with pytest.raises(ValueError, match="unsupported"):
-            symmetry.isotypic_projectors(2, 5)
+            oracle.isotypic_projectors(2, 5)
 
 
 class TestTwirl:
     def test_invariant_states_are_fixed(self):
-        dec = symmetry.isotypic_projectors(2, 2)
+        dec = oracle.isotypic_projectors(2, 2)
         for p, dim in zip(dec.projectors, dec.dims):
             rho = p / dim
-            assert np.max(np.abs(symmetry.twirl(rho, dec) - rho)) < 1e-10
+            assert np.max(np.abs(oracle.twirl(rho, dec) - rho)) < 1e-10
         mixed = np.eye(dec.space_dim) / dec.space_dim
-        assert np.max(np.abs(symmetry.twirl(mixed, dec) - mixed)) < 1e-10
+        assert np.max(np.abs(oracle.twirl(mixed, dec) - mixed)) < 1e-10
 
     def test_matches_monte_carlo_average(self):
-        dec = symmetry.isotypic_projectors(2, 1)
+        dec = oracle.isotypic_projectors(2, 1)
         rng = np.random.default_rng(0)
         rho = qcore.pure_state_projector(qcore.haar_random_state(4, rng))
         acc = np.zeros_like(rho)
@@ -250,42 +255,42 @@ class TestTwirl:
             u = qcore.haar_random_unitary(2, rng)
             k = np.kron(u, u)
             acc += k @ rho @ k.conj().T
-        assert np.max(np.abs(acc / count - symmetry.twirl(rho, dec))) < 1e-2
+        assert np.max(np.abs(acc / count - oracle.twirl(rho, dec))) < 1e-2
 
     def test_trace_positivity_idempotence(self):
-        dec = symmetry.isotypic_projectors(2, 2)
+        dec = oracle.isotypic_projectors(2, 2)
         rng = np.random.default_rng(5)
         for _ in range(10):
             rho = qcore.pure_state_projector(
                 qcore.haar_random_state(dec.space_dim, rng))
-            out = symmetry.twirl(rho, dec)
+            out = oracle.twirl(rho, dec)
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(out).min() > -1e-10
-            again = symmetry.twirl(out, dec)
+            again = oracle.twirl(out, dec)
             assert np.max(np.abs(again - out)) < 1e-10
 
 
 def _pair_weights(dec, emb, phi, theta):
     """Block weights v^dagger S_l v of v = phi^(x)n (x) theta^(x)n."""
-    v = np.kron(symmetry.embed_state_power(phi, emb),
-                symmetry.embed_state_power(theta, emb))
+    v = np.kron(oracle.embed_state_power(phi, emb),
+                oracle.embed_state_power(theta, emb))
     return np.array([float(np.real(v.conj() @ p @ v)) for p in dec.projectors])
 
 
 class TestBetaCoefficients:
     def test_equal_pair_has_no_antisymmetric_weight(self):
-        dec = symmetry.isotypic_projectors(2, 1)
-        emb = symmetry.symmetric_embedding(2, 1)
+        dec = oracle.isotypic_projectors(2, 1)
+        emb = oracle.symmetric_embedding(2, 1)
         phi = qcore.haar_random_state(2, 3)
         beta = _pair_weights(dec, emb, phi, phi)
         assert beta[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_single_copy_formula(self):
-        dec = symmetry.isotypic_projectors(2, 1)
-        emb = symmetry.symmetric_embedding(2, 1)
+        dec = oracle.isotypic_projectors(2, 1)
+        emb = oracle.symmetric_embedding(2, 1)
         for gamma in (0.0, 0.4, 1.1, math.pi / 2):
             u2 = math.cos(gamma) ** 2
-            phi, theta = general.canonical_pair(2, gamma)
+            phi, theta = oracle.canonical_pair(2, gamma)
             beta = _pair_weights(dec, emb, phi, theta)
             assert beta[0] == pytest.approx((1 + u2) / 2, abs=1e-12)
             assert beta[1] == pytest.approx((1 - u2) / 2, abs=1e-12)
@@ -293,10 +298,10 @@ class TestBetaCoefficients:
     def test_orthogonal_qubit_pair_two_copies_brute_force(self):
         # brute-force oracle: contract the full 4-copy tensor product with
         # the projectors pushed back into the full space
-        dec = symmetry.isotypic_projectors(2, 2)
-        emb = symmetry.symmetric_embedding(2, 2)
-        phi, theta = general.canonical_pair(2, math.pi / 2)
-        big = np.kron(qcore.kron_power(phi, 2), qcore.kron_power(theta, 2))
+        dec = oracle.isotypic_projectors(2, 2)
+        emb = oracle.symmetric_embedding(2, 2)
+        phi, theta = oracle.canonical_pair(2, math.pi / 2)
+        big = np.kron(oracle.kron_power(phi, 2), oracle.kron_power(theta, 2))
         j = np.kron(emb.basis, emb.basis)
         brute = np.array([
             float(np.real((j.conj().T @ big).conj() @ p @ (j.conj().T @ big)))
@@ -309,11 +314,11 @@ class TestBetaCoefficients:
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_depends_only_on_overlap(self, d, n):
-        dec = symmetry.isotypic_projectors(d, n)
-        emb = symmetry.symmetric_embedding(d, n)
+        dec = oracle.isotypic_projectors(d, n)
+        emb = oracle.symmetric_embedding(d, n)
         rng = np.random.default_rng(17)
         for gamma in (0.3, 1.0):
-            phi, theta = general.canonical_pair(d, gamma)
+            phi, theta = oracle.canonical_pair(d, gamma)
             ref = _pair_weights(dec, emb, phi, theta)
             u = qcore.haar_random_unitary(d, rng)
             rotated = _pair_weights(dec, emb, u @ phi, u @ theta)
@@ -326,11 +331,11 @@ class TestBetaCoefficients:
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_polynomial_in_squared_overlap(self, d, n):
-        dec = symmetry.isotypic_projectors(d, n)
-        emb = symmetry.symmetric_embedding(d, n)
+        dec = oracle.isotypic_projectors(d, n)
+        emb = oracle.symmetric_embedding(d, n)
 
         def beta_of_x(x):
-            return general.beta_for_angle(dec, emb, math.acos(math.sqrt(x)))
+            return oracle.beta_for_angle(dec, emb, math.acos(math.sqrt(x)))
 
         nodes = np.linspace(0.0, 1.0, 2 * n + 1)
         vander = np.vander(nodes, 2 * n + 1, increasing=True)

@@ -5,6 +5,8 @@ import pytest
 
 from fidest import qcore, symmetry, witness
 
+import oracle
+
 
 def paulis_normalized():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,7 +34,7 @@ class TestConstructWitness:
     @pytest.mark.parametrize("d", [2, 3])
     def test_basis_independence(self, d):
         w1 = witness.construct_witness(qcore.matrix_unit_basis(d))
-        w2 = witness.construct_witness(qcore.gell_mann_basis(d))
+        w2 = witness.construct_witness(oracle.gell_mann_basis(d))
         assert np.max(np.abs(w1 - w2)) < 1e-12
 
     def test_pauli_basis(self):

@@ -15,17 +15,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qcore
 
-# accepted d and n: the range on which the tests check the closed-form block
+# accepted d: the range on which the tests check the closed-form block
 # weights against the d^n operator construction; d only labels the report
 _MAX_LOCAL_DIM = 3
-_MAX_COPIES = 4
+_MAX_COPIES = 32  # accepted n (measured): a cold CLI run takes 0.5 s at m = 32
 _MAX_ROUNDS = 80  # cutting-plane rounds before solve_minimax gives up
 _CUT_TOL = 1e-10  # an angle erring by more than t + this is violated
 _MAX_CUTS = 32  # cuts added per separation step, the most violated first (measured)
@@ -74,8 +73,8 @@ class CoefficientMatrix:
 @dataclass(frozen=True)
 class GeneralInstance:
     """Problem instance: d-level systems, n copies per state, m samples,
-    the angle grid used for optimization, and the block-weight polynomials
-    (see beta_polynomials)."""
+    the angle grid used for optimization, and the (n+1, n+1) Bernstein
+    coefficients of the block weights (see beta_polynomials)."""
     d: int
     n: int
     m: int
@@ -112,34 +111,28 @@ def make_instance(d: int, n: int, m: int,
 
 @functools.lru_cache(maxsize=None)
 def _exact_block_weights(n: int) -> np.ndarray:
-    """Power-basis coefficients in x = cos^2 gamma of every block weight.
+    """Bernstein coefficients c[l, k] of every block weight in x = cos^2 gamma,
+    beta_l(x) = sum_k C(n, k) x^k (1 - x)^(n-k) c[l, k].
 
     The canonical pair spans two levels, so block l is total spin J = n - l
-    of two spin-n/2 factors, and with |pi>^n = |n/2, n/2>,
-    beta_l(x) = sum_{k<=J} C(n, k) x^k (1 - x)^(n-k) c_k with c_k the squared
-    Clebsch-Gordan coefficient <n/2, n/2; n/2, k - n/2 | J, k>^2 (one term of
-    Racah's formula). The sums run over exact fractions, each rounded once;
-    the array is shared and read-only.
+    of two spin-n/2 factors, and with |pi>^n = |n/2, n/2>, c[l, k] is the
+    squared Clebsch-Gordan coefficient <n/2, n/2; n/2, k - n/2 | J, k>^2
+    (one term of Racah's formula, an integer ratio rounded once), 0 for
+    k > J. Every column sums to 1; the array is shared and read-only.
     """
     f = math.factorial
-    coeffs = np.empty((n + 1, n + 1))
+    coeffs = np.zeros((n + 1, n + 1))
     for l in range(n + 1):
         j = n - l
-        row = [Fraction(0)] * (n + 1)
         for k in range(j + 1):
-            cg2 = Fraction((2 * j + 1) * f(n) * f(n - k) * f(j + k),
-                           f(n + j + 1) * f(l) * f(k) * f(j - k))
-            weight = math.comb(n, k) * cg2
-            # x^k (1 - x)^(n-k) = sum_i C(n-k, i) (-1)^i x^(k+i)
-            for i in range(n - k + 1):
-                row[k + i] += (-1) ** i * math.comb(n - k, i) * weight
-        coeffs[l] = [float(c) for c in row]
+            coeffs[l, k] = ((2 * j + 1) * f(n) * f(n - k) * f(j + k)
+                            / (f(n + j + 1) * f(l) * f(k) * f(j - k)))
     coeffs.setflags(write=False)
     return coeffs
 
 
 def beta_polynomials(inst: GeneralInstance) -> np.ndarray:
-    """Coefficients (ascending powers of x = cos^2 gamma) of every block
+    """Bernstein coefficients (degree n in x = cos^2 gamma) of every block
     weight, one row per block; computed exactly by make_instance."""
     return inst.poly
 
@@ -152,15 +145,19 @@ class _AngleTable(NamedTuple):
 
 
 def _angle_table(poly: np.ndarray, m: int, gammas: np.ndarray) -> _AngleTable:
-    """Block weights (power basis ``poly``) and binomial targets of m samples
-    at every angle of ``gammas``, both from one table of the powers of
-    x = cos^2 gamma and of 1 - x."""
+    """Block weights (Bernstein coefficients ``poly``) and binomial targets
+    of m samples at every angle of ``gammas``, both in the Bernstein basis
+    C(deg, k) x^k (1 - x)^(deg-k) from one table of the powers of
+    x = cos^2 gamma and of 1 - x; every term is non-negative."""
     gammas = np.asarray(gammas, dtype=float)
     x = np.cos(gammas) ** 2
-    degree = max(poly.shape[1] - 1, m)
-    xk, yk = np.stack([x, 1.0 - x])[:, :, None] ** np.arange(degree + 1)
-    return _AngleTable(gammas, xk[:, :poly.shape[1]] @ poly.T,
-                       _binomial_row(m) * xk[:, :m + 1] * yk[:, m::-1])
+    n = poly.shape[1] - 1
+    xk, yk = np.stack([x, 1.0 - x])[:, :, None] ** np.arange(max(n, m) + 1)
+
+    def bernstein(deg: int) -> np.ndarray:
+        return _binomial_row(deg) * xk[:, :deg + 1] * yk[:, deg::-1]
+
+    return _AngleTable(gammas, bernstein(n) @ poly.T, bernstein(m))
 
 
 def _l1_errors(alpha: np.ndarray, table: _AngleTable,

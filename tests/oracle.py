@@ -1,12 +1,14 @@
 """Reference implementation of the block weights on the d^n operator space.
 
 The package computes every block weight from a closed form in
-x = cos^2 gamma (general._exact_block_weights). The tests check that closed
-form against this construction: an orthonormal occupation-number basis of
-the symmetric power H+^n inside H^(x)n, the isotypic projectors of the
-collective unitary action on H+^n (x) H+^n, the twirling channel onto the
-invariant operators, and the block weights and effects of a strategy built
-from those projectors. Every object here has dimension d^n or more.
+x = cos^2 gamma: its Bernstein coefficients, the squared Clebsch-Gordan
+coefficients (general._exact_block_weights), for 1 <= n <= 32. The tests
+check that closed form against this construction, which reaches n <= 4
+only (MAX_COPIES): an orthonormal occupation-number basis of the symmetric
+power H+^n inside H^(x)n, the isotypic projectors of the collective unitary
+action on H+^n (x) H+^n, the twirling channel onto the invariant operators,
+and the block weights and effects of a strategy built from those
+projectors. Every object here has dimension d^n or more.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ def check_supported(d: int, n: int) -> None:
         raise ValueError(
             f"unsupported range: require 2 <= d <= {MAX_LOCAL_DIM} "
             f"and 1 <= n <= {MAX_COPIES}, got d={d}, n={n}")
+
+
+def bernstein_basis(n: int, x: float) -> np.ndarray:
+    """C(n, k) x^k (1 - x)^(n-k) for k = 0..n, one scalar term at a time;
+    block weights at x are this row times the transposed Bernstein
+    coefficients."""
+    return np.array([math.comb(n, k) * x ** k * (1.0 - x) ** (n - k)
+                     for k in range(n + 1)])
 
 
 def kron_power(a, n: int) -> np.ndarray:

@@ -184,7 +184,7 @@ def test_10_beta_polynomiality():
                 direct = oracle.beta_for_angle(oracle.isotypic_projectors(d, n),
                                                oracle.symmetric_embedding(d, n),
                                                math.acos(math.sqrt(x)))
-                fitted = np.vander([x], n + 1, increasing=True)[0] @ poly.T
+                fitted = oracle.bernstein_basis(n, x) @ poly.T
                 assert float(np.max(np.abs(direct - fitted))) <= 1e-8
 
 

@@ -271,7 +271,7 @@ class TestGeneralCommand:
                                "--m", "1")
         assert code == 1
         assert "unsupported range" in json.loads(err.strip())["error"]
-        code, _, err = run_cli(capsys, "general", "--d", "2", "--n", "5",
+        code, _, err = run_cli(capsys, "general", "--d", "2", "--n", "33",
                                "--m", "1")
         assert code == 1
         assert "unsupported range" in json.loads(err.strip())["error"]
@@ -279,6 +279,21 @@ class TestGeneralCommand:
                                "--m", "1")
         assert code == 1
         assert "unsupported range" in json.loads(err.strip())["error"]
+
+    def test_instance_unsupported_range(self, capsys, tmp_path):
+        error = self.run_instance(capsys, tmp_path, {"d": 2, "n": 33, "m": 1})
+        assert "unsupported range" in error
+
+    def test_largest_copy_count(self, capsys, tmp_path):
+        report = run_report(capsys, "general", "--d", "2", "--n", "32",
+                            "--m", "32")
+        assert report["results"]["value_l1"] == pytest.approx(0.43199557,
+                                                              abs=1e-6)
+        assert len(report["results"]["block_dims"]) == 33
+        spec = tmp_path / "instance.json"
+        spec.write_text(json.dumps({"d": 2, "n": 32, "m": 1}))
+        report = run_report(capsys, "general", "--instance", str(spec))
+        assert len(report["results"]["coefficients"][0]) == 33
 
     def test_solver_failure_is_one_json_line(self, capsys, monkeypatch):
         from fidest import general

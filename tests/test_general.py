@@ -1,4 +1,5 @@
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -256,7 +257,9 @@ class TestBatchedEvaluation:
         poly = general.make_instance(2, n, m, grid_points=9).poly
         table = general._angle_table(poly, m, gammas)
         x = np.cos(gammas)[:, None] ** 2
-        vander = np.vander(x[:, 0], n + 1, increasing=True) @ poly.T
+        # the Bernstein-Vandermonde matrix, one row per angle
+        vander = np.array([oracle.bernstein_basis(n, xi)
+                           for xi in x[:, 0]]) @ poly.T
         assert np.max(np.abs(table.beta - vander)) < 1e-15
         k = np.arange(m + 1)
         binomial = general._binomial_row(m) * x ** k * (1.0 - x) ** (m - k)
@@ -525,7 +528,8 @@ class TestDenseLP:
         self.check_optimum(n, m, np.linspace(0.0, math.pi / 2, 17))
 
     @staticmethod
-    def count_pivots(monkeypatch, instances):
+    def pivots(monkeypatch, instances):
+        """Simplex pivots of solve_minimax on each instance."""
         lps = []
         init = general._CutLP.__init__
 
@@ -534,23 +538,36 @@ class TestDenseLP:
             lps.append(self)
 
         monkeypatch.setattr(general._CutLP, "__init__", recording_init)
-        for d, n, m in instances:
-            general.solve_minimax(general.make_instance(d, n, m))
-        return sum(lp.pivots for lp in lps)
+        for inst in instances:
+            general.solve_minimax(inst)
+        return [lp.pivots for lp in lps]
 
     def test_pivots_over_the_benchmark_instances(self, monkeypatch):
         # cuts separated at alpha alone take 918 pivots, and 294 with an
         # LP per working set of grid angles
-        instances = [(2, n, m) for n in range(1, 5) for m in (1, 2, 4, 8)]
-        assert self.count_pivots(monkeypatch, instances) <= 285
+        instances = [general.make_instance(2, n, m)
+                     for n in range(1, 5) for m in (1, 2, 4, 8)]
+        assert sum(self.pivots(monkeypatch, instances)) <= 285
 
     def test_pivots_at_many_samples(self, monkeypatch):
         # cuts separated at alpha alone take 13502 pivots
-        assert self.count_pivots(monkeypatch, [(2, 3, 32)]) <= 1000
+        inst = general.make_instance(2, 3, 32)
+        assert sum(self.pivots(monkeypatch, [inst])) <= 1000
 
     def test_pivots_at_64_samples(self, monkeypatch):
-        # 2611 with an LP per working set of grid angles
-        assert self.count_pivots(monkeypatch, [(2, 4, 64)]) <= 720
+        # the count at one set of block weights is chance: moving them by
+        # an ulp or two spreads it over 673-972, so the gate is on the
+        # median over the exact weights and ten seeded ulp-perturbed
+        # copies, 5 % above the 819 that power-basis weights took over this
+        # family (2611 with an LP per working set of grid angles)
+        inst = general.make_instance(2, 4, 64)
+        rng = np.random.default_rng(0)
+        family = [inst]
+        for _ in range(10):
+            steps = rng.choice([-2, -1, 1, 2], size=inst.poly.shape)
+            poly = inst.poly + (inst.poly != 0) * steps * np.spacing(inst.poly)
+            family.append(general.GeneralInstance(2, 4, 64, inst.gamma_grid, poly))
+        assert statistics.median(self.pivots(monkeypatch, family)) <= 859
 
     def test_cuts_per_step_are_capped(self, monkeypatch):
         # the error of the first strategies is flat up to round-off, so a
@@ -572,6 +589,16 @@ class TestDenseLP:
         inst = general.make_instance(2, n, 128)
         coeffs, value = general.solve_minimax(inst)
         assert float(np.max(general.error_profile(inst, coeffs))) <= value
+
+    # the Bernstein-basis values of an earlier prototype; the power basis
+    # failed (2, 24, 24) with an outcome probability of -3.2e-11
+    @pytest.mark.parametrize("n,value", [(16, 0.45234559), (24, 0.43893508),
+                                         (32, 0.43199557)])
+    def test_solves_many_copies(self, n, value):
+        inst = general.make_instance(2, n, n)
+        coeffs, solved = general.solve_minimax(inst)
+        assert solved == pytest.approx(value, abs=1e-6)
+        assert float(np.max(general.error_profile(inst, coeffs))) <= solved
 
     def test_pivot_cap_raises(self, monkeypatch):
         monkeypatch.setattr(general, "_MAX_PIVOTS", 3)
@@ -616,7 +643,7 @@ class TestBetaPolynomials:
     def test_single_copy_symmetric_block(self):
         inst = general.make_instance(2, 1, 1, grid_points=9)
         coeffs = general.beta_polynomials(inst)[0]
-        assert np.allclose(coeffs, [0.5, 0.5], atol=1e-12)
+        assert np.allclose(coeffs, [0.5, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_holds_at_held_out_angles(self, d, n):
@@ -627,14 +654,14 @@ class TestBetaPolynomials:
         xs = np.linspace(0.05, 0.95, 10)
         for x in xs:
             direct = oracle.beta_for_angle(dec, emb, math.acos(math.sqrt(x)))
-            fitted = np.vander([x], n + 1, increasing=True)[0] @ poly.T
+            fitted = oracle.bernstein_basis(n, x) @ poly.T
             assert np.max(np.abs(direct - fitted)) < 1e-12
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_equal_pair_weights_are_boolean(self, d, n):
         inst = general.make_instance(d, n, 1, grid_points=9)
         poly = general.beta_polynomials(inst)
-        at_one = poly.sum(axis=1)  # evaluate each block polynomial at x = 1
+        at_one = poly[:, -1]  # each block polynomial at x = 1
         assert at_one[0] == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(at_one[1:])) < 1e-10
 
@@ -642,9 +669,20 @@ class TestBetaPolynomials:
     def test_blocks_sum_to_one_identically(self, d, n):
         inst = general.make_instance(d, n, 1, grid_points=9)
         poly = general.beta_polynomials(inst)
-        total = poly.sum(axis=0)
-        assert total[0] == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(total[1:])) < 1e-10
+        # every Bernstein coefficient of sum_l beta_l is 1
+        assert np.max(np.abs(poly.sum(axis=0) - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("n", range(1, general._MAX_COPIES + 1))
+    def test_mean_total_spin(self, n):
+        # beyond the oracle's n: column k is the block distribution of
+        # |s, s> (x) |s, k - s>, s = n/2, and block l has total spin
+        # J = n - l, so the mean of J(J + 1) is 2 s(s + 1) + 2 s (k - s)
+        c = general.make_instance(2, n, 1, grid_points=9).poly
+        assert c.min() >= 0.0
+        assert np.max(np.abs(c.sum(axis=0) - 1.0)) <= 1e-12
+        spin = np.arange(n, -1, -1) * np.arange(n + 1, 0, -1)
+        mean = n + n * np.arange(n + 1)
+        assert np.max(np.abs(spin @ c - mean)) <= 1e-12 * n ** 2
 
     @pytest.mark.parametrize("d,n", SUPPORTED_PAIRS)
     def test_nonnegative_on_fine_sweep(self, d, n):
@@ -697,7 +735,7 @@ class TestCoefficientMatrix:
 
 
 class TestInstanceValidation:
-    @pytest.mark.parametrize("d,n", [(2, 5), (4, 1), (1, 1)])
+    @pytest.mark.parametrize("d,n", [(2, 33), (4, 1), (1, 1)])
     def test_rejects_unsupported_range(self, d, n):
         with pytest.raises(ValueError, match="unsupported range"):
             general.make_instance(d, n, 1)

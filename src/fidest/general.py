@@ -36,7 +36,12 @@ _MAX_GRID_POINTS = 65537  # a cold CLI run at the limit: 0.6 s at m = 8, 1.7 s a
 # separation step and of the error profile
 _MAX_TABLE_ENTRIES = 65537 * 65
 _BLOCK_ENTRIES = 1 << 16  # entries of one block of _l1_errors (measured)
-_ZOOM_POINTS = 17  # evenly spaced samples per bracket in each polish step
+# evenly spaced samples per bracket in each polish step: 33 reach 1e-12 in 8
+# steps (17 in 11), which saves per-step overhead, but each sample costs an
+# (m+1, max(n, m)+1) product. CPU time of a warm pass of the 32 benchmark
+# instances and of a (2, 1, 128) solve at 17, 33 and 129 samples: 126 and
+# 525, 120 and 543, 119 and 755 ms (medians of 9, one BLAS thread)
+_ZOOM_POINTS = 33
 _SCAN_SAMPLES = 2049  # evenly spaced angles of the worst-angle scan
 
 
@@ -46,6 +51,20 @@ def _binomial_row(m: int) -> np.ndarray:
     row = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float)
     row.setflags(write=False)
     return row
+
+
+@functools.lru_cache(maxsize=None)
+def _elevation(a: int, b: int) -> np.ndarray:
+    """(a+1, b+1) degree elevation of Bernstein coefficients (a row vector of
+    degree a times it is the same polynomial at degree b >= a):
+    [j, i] = C(a, j) C(b-a, i-j) / C(b, i), each one integer ratio rounded
+    once (Farouki & Rajan, CAGD 4:191, 1987). Every column sums to 1; the
+    array is shared and read-only."""
+    ca, cd, cb = ([math.comb(k, j) for j in range(k + 1)] for k in (a, b - a, b))
+    e = np.array([[ca[j] * cd[i - j] / cb[i] if 0 <= i - j <= b - a else 0.0
+                   for i in range(b + 1)] for j in range(a + 1)])
+    e.setflags(write=False)
+    return e
 
 
 @dataclass(frozen=True)
@@ -476,20 +495,54 @@ def _cut_angles(errors: np.ndarray, level: float) -> np.ndarray:
     return idx[np.argsort(-errors[idx], kind="stable")[:_MAX_CUTS]]
 
 
-def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
-                     threshold: float,
-                     scan: _AngleTable) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous-angle local maximizers of the L1 error: every local maximum
-    of the dense sorted ``scan`` above ``threshold``, and the global one,
-    polished together by zooming into their brackets. Each zoom step samples
-    every bracket at _ZOOM_POINTS evenly spaced angles in one evaluation and
-    keeps the two neighbours of the best one, until every bracket is narrower
-    than 1e-12. Returns the angles and their errors."""
-    def err(gammas):
-        return _l1_errors(alpha, _angle_table(poly, m, gammas))
+def _bernstein_basis(deg: int, gammas: np.ndarray) -> np.ndarray:
+    """(deg+1, G) Bernstein basis C(deg, i) x^i (1 - x)^(deg-i), deg >= 1, at
+    x = cos^2 gamma for every angle of ``gammas``. The powers of x and 1 - x
+    come from one table whose filled rows are multiplied by its last one,
+    which doubles it in one contiguous product per step."""
+    x = np.cos(gammas) ** 2
+    powers = np.empty((deg + 1, 2, x.size))
+    powers[0] = 1.0
+    powers[1] = x, 1.0 - x
+    k = 1
+    while k < deg:
+        step = min(k, deg - k)
+        np.multiply(powers[1:step + 1], powers[k], out=powers[k + 1:k + step + 1])
+        k += step
+    basis = _binomial_row(deg)[:, None] * powers[:, 0]
+    basis *= powers[::-1, 1]
+    return basis
 
-    gammas = scan.gammas
-    values = _l1_errors(alpha, scan)
+
+def _error_coefficients(alpha: np.ndarray, poly: np.ndarray, m: int) -> np.ndarray:
+    """(D+1, m+1) Bernstein coefficients at degree D = max(n, m) of the errors
+    e_k = f_k - p_k of alpha, one column per k: f_k has the degree-n
+    coefficients (alpha @ poly)[k] and p_k the k-th degree-m unit vector,
+    both elevated to degree D."""
+    n = poly.shape[1] - 1
+    deg = max(n, m)
+    return (alpha @ poly @ _elevation(n, deg) - _elevation(m, deg)).T
+
+
+def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
+                     threshold: float, gammas: np.ndarray,
+                     basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous-angle local maximizers of the L1 error: every local maximum
+    of the dense sorted scan ``gammas`` (with its _bernstein_basis ``basis`` of
+    degree max(n, m)) above ``threshold``, and the global one, polished
+    together by zooming into their brackets. Each zoom step samples every
+    bracket at _ZOOM_POINTS evenly spaced angles in one evaluation and keeps
+    the two neighbours of the best one, until every bracket is narrower than
+    1e-12. The scan and the zoom evaluate the error polynomials directly, as
+    sum_k |e_k| from the _error_coefficients and one basis per step; only the
+    final candidates are scored on an _angle_table, so the returned errors
+    are those of _l1_errors. Returns the angles and their errors."""
+    coef = _error_coefficients(alpha, poly, m)
+
+    def err(basis):
+        return np.abs(coef.T @ basis).sum(axis=0)
+
+    values = err(basis)
     peak = _local_maxima(values) & (values > threshold)
     peak[int(np.argmax(values))] = True
     idx = np.flatnonzero(peak)
@@ -500,11 +553,13 @@ def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
     cols = np.arange(idx.size)
     while np.max(b - a) > 1e-12:
         points = a[:, None] + (b - a)[:, None] * steps
-        best = np.argmax(err(points.ravel()).reshape(points.shape), axis=1)
+        zoom = err(_bernstein_basis(coef.shape[0] - 1, points.ravel()))
+        best = np.argmax(zoom.reshape(points.shape), axis=1)
         a = points[cols, np.maximum(best - 1, 0)]
         b = points[cols, np.minimum(best + 1, _ZOOM_POINTS - 1)]
     candidates = np.stack([lo, (a + b) / 2, hi, gammas[idx]])
-    scores = err(candidates.ravel()).reshape(candidates.shape)
+    table = _angle_table(poly, m, candidates.ravel())
+    scores = _l1_errors(alpha, table).reshape(candidates.shape)
     best = np.argmax(scores, axis=0)
     return candidates[best, cols], scores[best, cols]
 
@@ -520,17 +575,21 @@ def solve_minimax(inst: GeneralInstance,
     off-grid angles added so far; the LP cuts only where the error over that
     grid peaks (the exchange method for semi-infinite LPs). The off-grid
     local maximizers of the error that exceed the optimum by ``refine_tol``
-    then join the refined grid. The returned value is the worst case of the
-    sanitized strategy over the refined grid."""
+    then join the refined grid; _violated_angles finds them on the error
+    polynomials, from the basis of the _SCAN_SAMPLES scan angles built once
+    per solve. The returned value is the worst case of the sanitized
+    strategy over the refined grid."""
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
     poly, m = beta_polynomials(inst), inst.m
-    scan = _angle_table(poly, m, np.linspace(0.0, math.pi / 2, _SCAN_SAMPLES))
+    scan = np.linspace(0.0, math.pi / 2, _SCAN_SAMPLES)
+    scan_basis = _bernstein_basis(max(inst.n, m), scan)
     table = _angle_table(poly, m, inst.gamma_grid)
     lp = _CutLP(poly.shape[0], m)
     for _ in range(_MAX_ROUNDS):
         alpha, t = lp.solve(table)
-        angles, errors = _violated_angles(alpha, poly, m, t + refine_tol, scan)
+        angles, errors = _violated_angles(alpha, poly, m, t + refine_tol,
+                                          scan, scan_basis)
         if np.max(errors) <= t + refine_tol:
             break
         table = _angle_table(poly, m, _union(table.gammas,

@@ -1,6 +1,7 @@
 import math
 import statistics
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -356,8 +357,8 @@ class TestCuttingPlanes:
         above = interior[values[interior] > threshold]
         assert above.size >= 2
         angles, errors = general._violated_angles(
-            alpha, inst.poly, 8, threshold,
-            general._angle_table(inst.poly, 8, scan))
+            alpha, inst.poly, 8, threshold, scan,
+            general._bernstein_basis(8, scan))
         assert angles.size >= above.size
         assert np.array_equal(
             errors, l1_errors(alpha, inst.poly, 8, angles))
@@ -382,6 +383,26 @@ class TestCuttingPlanes:
             window = np.linspace(angle - 1e-6, angle + 1e-6, 401)
             assert error >= l1_errors(
                 alpha, inst.poly, 8, window).max() - 1e-13
+
+    def test_one_angle_table_per_search(self, monkeypatch):
+        # the scan and the zoom run on the error polynomials; only the
+        # final candidates are scored on an angle table
+        inst = general.make_instance(2, 3, 8)
+        alpha = random_coefficients(8, 3, np.random.default_rng(5)).alpha
+        scan = np.linspace(0.0, math.pi / 2, general._SCAN_SAMPLES)
+        basis = general._bernstein_basis(8, scan)
+        built = []
+        angle_table = general._angle_table
+
+        def counting(*args):
+            built.append(args)
+            return angle_table(*args)
+
+        monkeypatch.setattr(general, "_angle_table", counting)
+        angles, _ = general._violated_angles(alpha, inst.poly, 8, 0.0,
+                                             scan, basis)
+        assert angles.size >= 1
+        assert len(built) <= 1
 
     @pytest.mark.parametrize("d,n,m", [(2, 1, 8), (3, 4, 8)])
     def test_solves_without_warnings(self, d, n, m):
@@ -707,6 +728,54 @@ class TestBetaPolynomials:
         qubit = general.make_instance(2, n, 1, grid_points=9)
         qutrit = general.make_instance(3, n, 1, grid_points=9)
         assert np.array_equal(qubit.poly, qutrit.poly)
+
+
+class TestErrorPolynomials:
+    """Degree elevation and the error coefficients of the worst-angle search."""
+
+    @pytest.mark.parametrize("b", range(11))
+    def test_elevation_matches_exact_ratios(self, b):
+        for a in range(b + 1):
+            exact = [[float(Fraction(math.comb(a, j) * math.comb(b - a, i - j),
+                                     math.comb(b, i)))
+                      if 0 <= i - j <= b - a else 0.0
+                      for i in range(b + 1)] for j in range(a + 1)]
+            assert general._elevation(a, b).tolist() == exact
+
+    @pytest.mark.parametrize("a", [0, 1, 4, 8, 32])
+    def test_elevation_identity_and_column_sums(self, a):
+        assert np.array_equal(general._elevation(a, a), np.eye(a + 1))
+        for b in (a, a + 1, 2 * a + 3, 64):
+            colsums = general._elevation(a, b).sum(axis=0)
+            assert np.max(np.abs(colsums - 1.0)) < 1e-14
+
+    def test_elevation_is_shared_and_read_only(self):
+        e = general._elevation(3, 7)
+        assert general._elevation(3, 7) is e
+        with pytest.raises(ValueError):
+            e[0, 0] = 2.0
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (4, 8), (32, 1), (1, 64), (32, 32)])
+    def test_coefficients_reproduce_the_table_errors(self, n, m):
+        poly = general._exact_block_weights(n)
+        gammas = np.linspace(0.0, math.pi / 2, 257)
+        assert gammas[0] == 0.0 and gammas[-1] == math.pi / 2
+        rng = np.random.default_rng(10 * n + m)
+        for _ in range(3):
+            alpha = random_coefficients(m, n, rng).alpha
+            coef = general._error_coefficients(alpha, poly, m)
+            assert coef.shape == (max(n, m) + 1, m + 1)
+            basis = general._bernstein_basis(max(n, m), gammas)
+            errors = np.abs(coef.T @ basis).sum(axis=0)
+            assert np.max(np.abs(errors - l1_errors(alpha, poly, m, gammas))) < 1e-13
+
+    @pytest.mark.parametrize("deg", [1, 2, 7, 8, 33, 128])
+    def test_basis_matches_scalar_terms(self, deg):
+        gammas = np.concatenate([np.linspace(0.0, math.pi / 2, 17), [0.123]])
+        basis = general._bernstein_basis(deg, gammas)
+        scalar = np.array([oracle.bernstein_basis(deg, math.cos(g) ** 2)
+                           for g in gammas]).T
+        assert np.max(np.abs(basis - scalar)) < 1e-14
 
 
 class TestCoefficientMatrix:

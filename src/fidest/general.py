@@ -36,12 +36,6 @@ _MAX_GRID_POINTS = 65537  # a cold CLI run at the limit: 0.6 s at m = 8, 1.7 s a
 # separation step and of the error profile
 _MAX_TABLE_ENTRIES = 65537 * 65
 _BLOCK_ENTRIES = 1 << 16  # entries of one block of _l1_errors (measured)
-# evenly spaced samples per bracket in each polish step: 33 reach 1e-12 in 8
-# steps (17 in 11), which saves per-step overhead, but each sample costs an
-# (m+1, max(n, m)+1) product. CPU time of a warm pass of the 32 benchmark
-# instances and of a (2, 1, 128) solve at 17, 33 and 129 samples: 126 and
-# 525, 120 and 543, 119 and 755 ms (medians of 9, one BLAS thread)
-_ZOOM_POINTS = 33
 _SCAN_SAMPLES = 2049  # evenly spaced angles of the worst-angle scan
 
 
@@ -67,6 +61,17 @@ def _elevation(a: int, b: int) -> np.ndarray:
     return e
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only float array of its own: a read-only copy, unless
+    it already is one (as the shared _exact_block_weights are), so a
+    caller's array stays writeable and writing to it changes no instance."""
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable or a.base is not None:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class CoefficientMatrix:
     """Strategy coefficients alpha with shape (m+1, n+1); every block column
@@ -76,7 +81,7 @@ class CoefficientMatrix:
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
+        a = _frozen(self.alpha)
         if a.shape != (self.m + 1, self.n + 1):
             raise ValueError(
                 f"alpha shape {a.shape} != {(self.m + 1, self.n + 1)}")
@@ -86,7 +91,6 @@ class CoefficientMatrix:
         if float(np.max(np.abs(colsums - 1.0))) > 1e-10:
             raise ValueError(f"column sums {colsums!r} != 1")
         object.__setattr__(self, "alpha", a)
-        a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,8 @@ class GeneralInstance:
     poly: np.ndarray
 
     def __post_init__(self):
-        self.gamma_grid.setflags(write=False)
-        self.poly.setflags(write=False)
+        object.__setattr__(self, "gamma_grid", _frozen(self.gamma_grid))
+        object.__setattr__(self, "poly", _frozen(self.poly))
 
 
 def make_instance(d: int, n: int, m: int,
@@ -265,9 +269,10 @@ class _CutLP:
     is column 1 + j of two augmented arrays: ``orig`` holds the original
     rows [b | A], and the tableau ``T`` holds the reduced costs of ``costs``
     in row 0 and [B^-1 b | B^-1 A] for the basis B below it, so a pivot is
-    one rank-1 update of T. ``basis`` holds the basic column of each row. A
-    new cut enters with its slack basic, which keeps the basis dual
-    feasible, so each solve resumes from the last basis.
+    one rank-1 update of T, made in place through ``buffer``. ``basis``
+    holds the basic column of each row. A new cut enters with its slack
+    basic, which keeps the basis dual feasible, so each solve resumes from
+    the last basis.
 
     Only t costs anything, so every ratio test would tie among the alpha
     columns and the pivots would wander through ill-conditioned bases. The
@@ -288,6 +293,7 @@ class _CutLP:
         # alpha[0, l] = 1 and t = 0: optimal before any cut
         self.basis = np.arange(1, 1 + n_blk)
         self.T = np.vstack([np.zeros(1 + self.n_var), self.orig])
+        self.buffer = np.empty_like(self.T)  # of the rank-1 update of _pivot
         golden = (1.0 + math.sqrt(5.0)) / 2
         self.noise = _COST_NOISE * (1.0 + np.arange(1, 1 + n_alpha) * golden % 1.0)
         self.centre = np.full(self.shape, 1.0 / (m + 1))  # in-out stability centre
@@ -428,10 +434,15 @@ class _CutLP:
             raise RuntimeError(
                 f"simplex did not converge within {_MAX_PIVOTS} pivots")
         tab = self.T
+        if self.buffer.shape != tab.shape:
+            self.buffer = np.empty_like(tab)
         prow = tab[1 + r] / tab[1 + r, q]
         col = tab[:, q].copy()
         col[1 + r] = 0.0
-        tab -= col[:, None] * prow
+        # in place: a fresh tableau-sized temporary per pivot makes the
+        # speed depend on the allocator (glibc's mmap threshold)
+        np.multiply(col[:, None], prow, out=self.buffer)
+        tab -= self.buffer
         tab[1 + r] = prow
         self.basis[r] = q
         self.pivots += 1
@@ -524,43 +535,111 @@ def _error_coefficients(alpha: np.ndarray, poly: np.ndarray, m: int) -> np.ndarr
     return (alpha @ poly @ _elevation(n, deg) - _elevation(m, deg)).T
 
 
+@functools.lru_cache(maxsize=None)
+def _derivative_maps(deg: int) -> np.ndarray:
+    """(3, deg+1, deg+1) maps of the Bernstein coefficients of a polynomial of
+    degree deg in x to those of itself and of its first and second
+    derivatives, all at degree deg: the derivatives have the coefficients
+    deg diff(c) and deg (deg-1) diff^2(c) at degrees deg-1 and deg-2
+    (Farouki & Rajan), elevated back. Shared and read-only."""
+    eye = np.eye(deg + 1)
+    maps = np.stack([eye, deg * (_elevation(deg - 1, deg).T @ np.diff(eye, axis=0)),
+                     np.zeros_like(eye)])
+    if deg > 1:
+        maps[2] = deg * (deg - 1) * (_elevation(deg - 2, deg).T
+                                     @ np.diff(eye, 2, axis=0))
+    maps.setflags(write=False)
+    return maps
+
+
 def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
                      threshold: float, gammas: np.ndarray,
                      basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuous-angle local maximizers of the L1 error: every local maximum
     of the dense sorted scan ``gammas`` (with its _bernstein_basis ``basis`` of
-    degree max(n, m)) above ``threshold``, and the global one, polished
-    together by zooming into their brackets. Each zoom step samples every
-    bracket at _ZOOM_POINTS evenly spaced angles in one evaluation and keeps
-    the two neighbours of the best one, until every bracket is narrower than
-    1e-12. The scan and the zoom evaluate the error polynomials directly, as
-    sum_k |e_k| from the _error_coefficients and one basis per step; only the
-    final candidates are scored on an _angle_table, so the returned errors
-    are those of _l1_errors. Returns the angles and their errors."""
+    degree D = max(n, m)) above ``threshold``, and the global one, polished
+    together by a safeguarded Newton iteration in gamma on
+    E(gamma) = sum_k |e_k(x)|, x = cos^2 gamma (after rtsafe, Numerical
+    Recipes 9.4).
+
+    Each peak keeps a bracket, first its two scan neighbours, and the best
+    angle evaluated in it, whose error is at least those of both ends, so a
+    local maximum stays inside. Each step evaluates e, e' and e'' at every
+    unfinished peak with one basis build and one product with the
+    _derivative_maps of the e_k, takes the signs of the e_k there, and forms
+    E_gamma = -E_x sin 2gamma and
+    E_gammagamma = E_xx sin^2 2gamma - 2 E_x cos 2gamma. The worse of the new
+    and the best angle becomes a bracket end, and the sign of E_gamma at the
+    best angle drops its falling side. The next angle is the Newton step
+    from the best angle if E_gammagamma < 0 (or E_gamma = 0) and it lands
+    inside the bracket, and the bracket's midpoint otherwise, which handles
+    kinks, flat tops and boundary maxima. Each peak starts at the vertex of
+    the parabola through its three scan values, clipped into the bracket
+    (the scan angle itself is evaluated next if that vertex is worse), and
+    is done when its last Newton step is at most 1e-7 (quadratic
+    convergence leaves an error of order 1e-14) or its bracket is narrower
+    than 1e-12. Only the final candidates (both neighbours, the polished
+    angle and the scan angle) are scored on an _angle_table, so the returned
+    errors are those of _l1_errors. Returns the angles and their errors."""
     coef = _error_coefficients(alpha, poly, m)
-
-    def err(basis):
-        return np.abs(coef.T @ basis).sum(axis=0)
-
-    values = err(basis)
+    values = np.abs(coef.T @ basis).sum(axis=0)
     peak = _local_maxima(values) & (values > threshold)
     peak[int(np.argmax(values))] = True
     idx = np.flatnonzero(peak)
-    lo = gammas[np.maximum(idx - 1, 0)]
-    hi = gammas[np.minimum(idx + 1, gammas.size - 1)]
-    a, b = lo, hi
-    steps = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-    cols = np.arange(idx.size)
-    while np.max(b - a) > 1e-12:
-        points = a[:, None] + (b - a)[:, None] * steps
-        zoom = err(_bernstein_basis(coef.shape[0] - 1, points.ravel()))
-        best = np.argmax(zoom.reshape(points.shape), axis=1)
-        a = points[cols, np.maximum(best - 1, 0)]
-        b = points[cols, np.minimum(best + 1, _ZOOM_POINTS - 1)]
-    candidates = np.stack([lo, (a + b) / 2, hi, gammas[idx]])
+    left, right = np.maximum(idx - 1, 0), np.minimum(idx + 1, gammas.size - 1)
+    lo, hi = gammas[left], gammas[right]
+    # vertex of the parabola through the three scan values (none at an end)
+    du, dv = gammas[idx] - lo, gammas[idx] - hi
+    fu, fv = values[idx] - values[right], values[idx] - values[left]
+    den = du * fu - dv * fv
+    shift = np.divide(du * du * fu - dv * dv * fv, 2.0 * den,
+                      out=np.zeros(idx.size), where=den > 0)
+    g = np.clip(gammas[idx] - shift, lo, hi)  # the next angle of each peak
+    a, b = lo.copy(), hi.copy()
+    # the best angle so far and its error, and there E_gamma and
+    # E_gammagamma, NaN until evaluated (the scan gives only the error)
+    c, c_err = gammas[idx], values[idx]
+    slope, curve = np.full((2, idx.size), math.nan)
+    deg = coef.shape[0] - 1
+    derivs = (_derivative_maps(deg) @ coef).transpose(0, 2, 1)
+    live = np.arange(idx.size)
+    # bisection halves the widest bracket to 1e-12 in this many steps; the
+    # first step and the one at a blind scan angle come on top
+    halvings = math.log2(max(float(np.max(b - a)), 1e-12) / 1e-12)
+    for _ in range(math.ceil(halvings) + 2):
+        at, cl = g[live], c[live]
+        e = derivs @ _bernstein_basis(deg, at)
+        err, ex, exx = (np.sign(e[0]) * e).sum(axis=1)
+        sin2, cos2 = np.sin(2.0 * at), np.cos(2.0 * at)
+        # the worse of the new and the best angle becomes a bracket end, so
+        # the best one keeps an error at least those of both ends
+        better = (err >= c_err[live]) | (at == cl)
+        far, near = np.where(better, cl, at), np.where(better, at, cl)
+        al = np.where(far < near, far, a[live])
+        bl = np.where(far > near, far, b[live])
+        c_err[live] = np.where(better, err, c_err[live])
+        sl = np.where(better, -ex * sin2, slope[live])
+        cu = np.where(better, exx * sin2 * sin2 - 2.0 * ex * cos2, curve[live])
+        # and the sign of E_gamma there keeps the rising side
+        al = np.where(sl > 0, near, al)
+        bl = np.where(sl < 0, near, bl)
+        newton = np.divide(-sl, cu, out=np.zeros(live.size), where=cu < 0)
+        nxt = near + newton
+        take = (((cu < 0) | (sl == 0))
+                & ((nxt == near) | ((al < nxt) & (nxt < bl))))
+        # a blind best angle is evaluated next
+        nxt = np.where(take, nxt, np.where(np.isnan(sl), near, (al + bl) / 2))
+        a[live], b[live], c[live], g[live] = al, bl, near, nxt
+        slope[live], curve[live] = sl, cu
+        done = (take & (np.abs(newton) <= 1e-7)) | (bl - al < 1e-12)
+        live = live[~done]
+        if not live.size:
+            break
+    candidates = np.stack([lo, g, hi, gammas[idx]])
     table = _angle_table(poly, m, candidates.ravel())
     scores = _l1_errors(alpha, table).reshape(candidates.shape)
     best = np.argmax(scores, axis=0)
+    cols = np.arange(idx.size)
     return candidates[best, cols], scores[best, cols]
 
 
@@ -575,10 +654,11 @@ def solve_minimax(inst: GeneralInstance,
     off-grid angles added so far; the LP cuts only where the error over that
     grid peaks (the exchange method for semi-infinite LPs). The off-grid
     local maximizers of the error that exceed the optimum by ``refine_tol``
-    then join the refined grid; _violated_angles finds them on the error
-    polynomials, from the basis of the _SCAN_SAMPLES scan angles built once
-    per solve. The returned value is the worst case of the sanitized
-    strategy over the refined grid."""
+    then join the refined grid. _violated_angles finds them on the error
+    polynomials: it scans them at the _SCAN_SAMPLES scan angles, whose basis
+    is built once per solve, and polishes every peak by safeguarded Newton
+    steps on their derivatives. The returned value is the worst case of the
+    sanitized strategy over the refined grid."""
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
     poly, m = beta_polynomials(inst), inst.m

@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -31,6 +32,23 @@ def target(m, gamma):
 def l1_errors(alpha, poly, m, gammas):
     """L1 errors at every angle of ``gammas``, through a fresh angle table."""
     return general._l1_errors(alpha, general._angle_table(poly, m, gammas))
+
+
+def assert_polished(alpha, poly, m, scan, values, threshold, angles, errors):
+    """Every angle _violated_angles returned for the peaks of ``values`` over
+    ``scan`` above ``threshold`` is as good as a fine scan of its bracket,
+    and no angle within 1e-6 of it scores higher."""
+    peaks = general._local_maxima(values) & (values > threshold)
+    peaks[int(np.argmax(values))] = True
+    idx = np.flatnonzero(peaks)
+    assert idx.size == angles.size
+    for i, error in zip(idx, errors):
+        bracket = np.linspace(scan[max(i - 1, 0)],
+                              scan[min(i + 1, scan.size - 1)], 401)
+        assert error >= l1_errors(alpha, poly, m, bracket).max() - 1e-13
+    for angle, error in zip(angles, errors):
+        window = np.linspace(angle - 1e-6, angle + 1e-6, 401)
+        assert error >= l1_errors(alpha, poly, m, window).max() - 1e-13
 
 
 def worst_case(inst, coeffs):
@@ -368,24 +386,86 @@ class TestCuttingPlanes:
         dense = np.linspace(0.0, math.pi / 2, 20001)
         assert errors.max() >= l1_errors(
             alpha, inst.poly, 8, dense).max() - 1e-9
-        # every returned angle is as good as a fine scan of its bracket
-        peaks = general._local_maxima(values) & (values > threshold)
-        peaks[int(np.argmax(values))] = True
-        idx = np.flatnonzero(peaks)
-        assert idx.size == angles.size
-        for i, error in zip(idx, errors):
-            bracket = np.linspace(scan[max(i - 1, 0)],
-                                  scan[min(i + 1, samples - 1)], 401)
-            assert error >= l1_errors(
-                alpha, inst.poly, 8, bracket).max() - 1e-13
-        # and no angle within 1e-6 of a returned one scores higher
-        for angle, error in zip(angles, errors):
-            window = np.linspace(angle - 1e-6, angle + 1e-6, 401)
-            assert error >= l1_errors(
-                alpha, inst.poly, 8, window).max() - 1e-13
+        assert_polished(alpha, inst.poly, 8, scan, values, threshold,
+                        angles, errors)
+
+    @staticmethod
+    def search(alpha, n, m, samples):
+        """_violated_angles over all the peaks of a scan of ``samples``
+        angles, checked by assert_polished."""
+        poly = general._exact_block_weights(n)
+        scan = np.linspace(0.0, math.pi / 2, samples)
+        values = l1_errors(alpha, poly, m, scan)
+        interior = general._local_maxima(values)[1:-1].nonzero()[0] + 1
+        threshold = float(np.min(values[interior])) - 1e-3
+        angles, errors = general._violated_angles(
+            alpha, poly, m, threshold, scan,
+            general._bernstein_basis(max(n, m), scan))
+        assert_polished(alpha, poly, m, scan, values, threshold, angles, errors)
+
+    @pytest.mark.parametrize("n,m", [(1, 64), (32, 32)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_polish_at_high_degree(self, n, m, seed):
+        alpha = random_coefficients(m, n, np.random.default_rng(seed)).alpha
+        self.search(alpha, n, m, general._SCAN_SAMPLES)
+
+    def test_polish_bisects_where_newton_cannot(self, monkeypatch):
+        # a sparse strategy whose error is flat to round-off around one
+        # peak: Newton steps land outside the shrinking bracket there, so
+        # the polish bisects, for more basis builds than Newton steps take
+        builds = []
+        basis = general._bernstein_basis
+
+        def counting(*args):
+            builds.append(args)
+            return basis(*args)
+
+        monkeypatch.setattr(general, "_bernstein_basis", counting)
+        rng = np.random.default_rng(50)
+        alpha = rng.dirichlet(np.full(9, 0.05), size=4).T
+        self.search(alpha, 3, 8, 257)
+        assert len(builds) >= 12  # one of them is the scan's
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 8), (1, 64), (32, 32)])
+    def test_boundary_maxima_are_exact(self, n, m):
+        # all mass on outcome 0 errs by 2 (1 - (1 - x)^m), most at x = 1,
+        # gamma = 0; all mass on outcome m by 2 (1 - x^m), most at pi / 2
+        poly = general._exact_block_weights(n)
+        scan = np.linspace(0.0, math.pi / 2, general._SCAN_SAMPLES)
+        basis = general._bernstein_basis(max(n, m), scan)
+        for outcome, edge in ((0, 0.0), (m, math.pi / 2)):
+            alpha = np.zeros((m + 1, n + 1))
+            alpha[outcome] = 1.0
+            angles, errors = general._violated_angles(alpha, poly, m, 1.0,
+                                                      scan, basis)
+            assert edge in angles.tolist()
+            assert errors[angles == edge] == pytest.approx([2.0], abs=1e-14)
+
+    def test_polish_takes_few_basis_builds(self, monkeypatch):
+        # Newton steps from the parabola vertex of the scan converge in one
+        # or two steps on the solver's strategies, one basis build each;
+        # the zoom it replaced took 8 builds per search
+        builds, per_search = [], []
+        basis, search = general._bernstein_basis, general._violated_angles
+
+        def counting_basis(*args):
+            builds.append(args)
+            return basis(*args)
+
+        def counting_search(*args):
+            start = len(builds)
+            found = search(*args)
+            per_search.append(len(builds) - start)
+            return found
+
+        monkeypatch.setattr(general, "_bernstein_basis", counting_basis)
+        monkeypatch.setattr(general, "_violated_angles", counting_search)
+        for n, m in [(1, 8), (3, 8), (4, 4), (2, 64)]:
+            general.solve_minimax(general.make_instance(2, n, m))
+        assert per_search and max(per_search) <= 2
 
     def test_one_angle_table_per_search(self, monkeypatch):
-        # the scan and the zoom run on the error polynomials; only the
+        # the scan and the polish run on the error polynomials; only the
         # final candidates are scored on an angle table
         inst = general.make_instance(2, 3, 8)
         alpha = random_coefficients(8, 3, np.random.default_rng(5)).alpha
@@ -621,6 +701,28 @@ class TestDenseLP:
         assert solved == pytest.approx(value, abs=1e-6)
         assert float(np.max(general.error_profile(inst, coeffs))) <= solved
 
+    def test_pivot_updates_the_tableau_in_place(self):
+        # a tableau-sized temporary per pivot makes the solve speed depend
+        # on the allocator; the update goes through a buffer kept per shape
+        inst = general.make_instance(2, 4, 64)
+        lp = general._CutLP(5, 64)
+        lp.solve(general._angle_table(inst.poly, 64, inst.gamma_grid))
+
+        def pivot():
+            row = np.abs(lp.T[1, 1:])
+            row[lp.basis - 1] = 0.0
+            lp._pivot(0, 1 + int(row.argmax()))
+
+        pivot()  # sizes the buffer for this tableau
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pivot()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < lp.T.nbytes
+
     def test_pivot_cap_raises(self, monkeypatch):
         monkeypatch.setattr(general, "_MAX_PIVOTS", 3)
         with pytest.raises(RuntimeError, match="within 3 pivots"):
@@ -769,6 +871,35 @@ class TestErrorPolynomials:
             errors = np.abs(coef.T @ basis).sum(axis=0)
             assert np.max(np.abs(errors - l1_errors(alpha, poly, m, gammas))) < 1e-13
 
+    @pytest.mark.parametrize("deg", range(1, 11))
+    def test_derivatives_match_exact_ones(self, deg):
+        # the power form of each exact Bernstein polynomial, differentiated
+        # term by term, against the Bernstein forms of e' and e'' at
+        # rational points of [0, 1]
+        def power_form(c):
+            p = [Fraction(0)] * (deg + 1)
+            for i, ci in enumerate(c):
+                for j in range(deg - i + 1):
+                    p[i + j] += (ci * math.comb(deg, i) * math.comb(deg - i, j)
+                                 * (-1) ** j)
+            return p
+
+        def value(p, x):
+            return sum(pk * x ** k for k, pk in enumerate(p))
+
+        coef = np.random.default_rng(deg).uniform(-1.0, 1.0, size=(deg + 1, 3))
+        derivs = general._derivative_maps(deg) @ coef
+        assert derivs.shape == (3, deg + 1, 3)
+        assert np.array_equal(derivs[0], coef)
+        for col in range(3):
+            p = power_form([Fraction(v) for v in coef[:, col]])
+            dp = [k * pk for k, pk in enumerate(p)][1:]
+            ddp = [k * pk for k, pk in enumerate(dp)][1:]
+            for order, exact in ((1, dp), (2, ddp)):
+                got = power_form([Fraction(v) for v in derivs[order, :, col]])
+                for x in (Fraction(j, 7) for j in range(8)):
+                    assert abs(float(value(got, x) - value(exact, x))) <= 1e-12
+
     @pytest.mark.parametrize("deg", [1, 2, 7, 8, 33, 128])
     def test_basis_matches_scalar_terms(self, deg):
         gammas = np.concatenate([np.linspace(0.0, math.pi / 2, 17), [0.123]])
@@ -797,6 +928,15 @@ class TestCoefficientMatrix:
             general.CoefficientMatrix(m=1, n=1,
                                       alpha=np.array([[bad, 0.5], [0.0, 0.5]]))
 
+    def test_keeps_its_own_copy(self):
+        a = np.eye(2)
+        coeffs = general.CoefficientMatrix(m=1, n=1, alpha=a)
+        assert a.flags.writeable
+        a[0, 0] = 0.25
+        assert coeffs.alpha[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            coeffs.alpha[0, 0] = 0.5
+
     def test_marginal_requires_two_samples(self):
         coeffs = general.CoefficientMatrix(m=1, n=1, alpha=np.eye(2))
         with pytest.raises(ValueError, match="m >= 2"):
@@ -804,6 +944,18 @@ class TestCoefficientMatrix:
 
 
 class TestInstanceValidation:
+    def test_instance_keeps_its_own_arrays(self):
+        grid = np.linspace(0.0, math.pi / 2, 9)
+        poly = general._exact_block_weights(2).copy()
+        inst = general.GeneralInstance(2, 2, 1, grid, poly)
+        assert grid.flags.writeable and poly.flags.writeable
+        grid[0], poly[0, 0] = 1.0, 2.0
+        assert inst.gamma_grid[0] == 0.0
+        assert np.array_equal(inst.poly, general._exact_block_weights(2))
+        for array in (inst.gamma_grid, inst.poly):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
     @pytest.mark.parametrize("d,n", [(2, 33), (4, 1), (1, 1)])
     def test_rejects_unsupported_range(self, d, n):
         with pytest.raises(ValueError, match="unsupported range"):

@@ -543,8 +543,9 @@ def _derivative_maps(deg: int) -> np.ndarray:
     deg diff(c) and deg (deg-1) diff^2(c) at degrees deg-1 and deg-2
     (Farouki & Rajan), elevated back. Shared and read-only."""
     eye = np.eye(deg + 1)
-    maps = np.stack([eye, deg * (_elevation(deg - 1, deg).T @ np.diff(eye, axis=0)),
-                     np.zeros_like(eye)])
+    maps = np.zeros((3, deg + 1, deg + 1))
+    maps[0] = eye
+    maps[1] = deg * (_elevation(deg - 1, deg).T @ np.diff(eye, axis=0))
     if deg > 1:
         maps[2] = deg * (deg - 1) * (_elevation(deg - 2, deg).T
                                      @ np.diff(eye, 2, axis=0))

@@ -121,17 +121,16 @@ def cmd_nogo(args) -> dict:
     started = time.perf_counter()
     if args.test_file:
         t = qcore.load_matrix(args.test_file)
-        jobs = [(t, args.seed)]
+        tests = [t]
         inputs = {"test_file": args.test_file, "d": int(math.isqrt(t.shape[0]))}
     elif args.random_family:
         tests = random_test_family(args.random_family, args.d, args.seed)
-        jobs = [(t, args.seed + i) for i, t in enumerate(tests)]
         inputs = {"random_family": args.random_family, "d": args.d}
     else:
         raise ValueError("provide --test-file or --random-family")
     certificates = []
-    for t, seed in jobs:
-        cert = nogo.theorem_one_check(t, seed=seed)
+    for t in tests:
+        cert = nogo.theorem_one_check(t)
         if not cert.verify(t):
             raise RuntimeError("certificate failed self-verification")
         certificates.append(nogo.certificate_to_json(cert))
@@ -218,6 +217,13 @@ def _number(convert, accept, what: str):
 
 # sizes and counts, real inputs, tolerances
 _positive_int = _number(int, lambda v: v >= 1, "positive integer")
+_seed = _number(int, lambda v: v >= 0, "non-negative integer")
+# nogo and optimal-test build dense d^2 x d^2 operators, 16 MB each at d = 32
+_MAX_DIMENSION = 32
+_nogo_dimension = _number(int, lambda v: 2 <= v <= _MAX_DIMENSION,
+                          f"dimension in 2..{_MAX_DIMENSION}")
+_test_dimension = _number(int, lambda v: 1 <= v <= _MAX_DIMENSION,
+                          f"dimension in 1..{_MAX_DIMENSION}")
 _finite_float = _number(float, math.isfinite, "finite number")
 _positive_float = _number(float, lambda v: math.isfinite(v) and v > 0,
                           "positive finite number")
@@ -240,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fidelity-estimation toolkit: witness negativity, "
                     "no-go certificates, the optimal universal test, and "
                     "copies/samples minimax strategies.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed controlling all randomness")
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="seed of nogo --random-family and optimal-test")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     w = sub.add_parser("witness", help="evaluate the extended estimator")
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("optimal-test", help="optimal invariant test")
     o.add_argument("--grid", type=_positive_int, default=1000)
-    o.add_argument("--d", type=int, default=2)
+    o.add_argument("--d", type=_test_dimension, default=2)
     o.add_argument("--out", type=str, default=None,
                    help="write the optimal effect as matrix JSON")
     o.add_argument("--sweep", type=str, default=None,
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--test-file", type=str, default=None,
                    help="matrix JSON of the test operator")
     g.add_argument("--random-family", type=_positive_int, default=None)
-    g.add_argument("--d", type=int, default=2)
+    g.add_argument("--d", type=_nogo_dimension, default=2)
     g.set_defaults(func=cmd_nogo)
 
     a = sub.add_parser("general", help="copies/samples minimax strategy")

@@ -4,12 +4,12 @@ Two constructive tools: the decision-rule expansion for the four-outcome
 product measurement (pi, 1-pi) (x) (tau, 1-tau), whose polynomial structure
 forces the trivial rule, and a certificate generator showing that no test
 operator reproduces the equality predicate on state pairs (value 1 on equal
-pairs, 0 on orthogonal pairs).
+pairs, 0 on orthogonal pairs). Both are exact constructions with no random
+draw.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -21,7 +21,6 @@ from . import qcore, symmetry
 FORCED_RULE_TOL = 1e-9
 EQUAL_PAIR_TOL = 1e-6
 _SEARCH_DEVIATION = 1e-6
-_HAAR_CANDIDATES = 200
 
 
 @dataclass(frozen=True)
@@ -108,37 +107,38 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _probe_pairs(d: int):
-    """Deterministic (sigma1, sigma2, pi, tau) probes that expose each
-    single-coordinate deviation of the decision rule."""
+    """Deterministic (sigma1, sigma2, pi, tau) probes. The first four read
+    one coordinate of the decision rule each; the fifth reads their mean."""
     e0, e1 = np.eye(d, dtype=complex)[:2]
+    plus = (e0 + e1) / math.sqrt(2)
     return [
         (e0, e0, e0, e0),  # equal pair: vote probability is p11
         (e0, e0, e0, e1),  # orthogonal pair activating p10
         (e1, e1, e0, e1),  # orthogonal pair activating p01
         (e1, e0, e0, e1),  # orthogonal pair activating p00
+        (e0, e0, plus, plus),  # equal pair: every outcome has weight 1/4
     ]
 
 
 def forcing_check(rule: DecisionRule, trials: int, seed,
                   d: int = 2) -> Optional[ForcingCounterexample]:
-    """Search for a product input on which the rule fails to sample the
-    overlap distribution.
+    """The first probe input on which the rule misses the overlap
+    distribution by more than ``_SEARCH_DEVIATION``, or None when the rule
+    already is (1, 0, 0, 0); that return says nothing about exact sampling
+    being achievable (it is not, as ``theorem_one_check`` certifies).
 
-    Returns None only when the rule already is (1, 0, 0, 0); that return says
-    nothing about exact sampling being achievable (it is not, as
-    ``theorem_one_check`` certifies for arbitrary preparations).
+    Probe i < 4 deviates by exactly |p_i - forced_i|, so a rule that passes
+    all four lies within ``_SEARCH_DEVIATION`` of the forced rule in every
+    coordinate. The fifth then deviates by 1 - mean(p) >= 3/4 - 3e-6, so
+    every other rule gets a counterexample without a random draw.
+    ``trials`` and ``seed`` are accepted and ignored.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if d < 2:
         raise ValueError("d must be >= 2")
     forced = np.array(FORCED_RULE.as_tuple())
     if float(np.max(np.abs(np.array(rule.as_tuple()) - forced))) <= FORCED_RULE_TOL:
         return None
-
-    rng = np.random.default_rng(seed)
-
-    def attempt(s1, s2, pv, tv):
+    for s1, s2, pv, tv in _probe_pairs(d):
         rho = _kron(qcore.pure_state_projector(s1),
                     qcore.pure_state_projector(s2))
         pi = qcore.pure_state_projector(pv)
@@ -147,33 +147,15 @@ def forcing_check(rule: DecisionRule, trials: int, seed,
                   - qcore.trace_fidelity(pi, tau))
         if dev > _SEARCH_DEVIATION:
             return ForcingCounterexample(rho=rho, pi=pi, tau=tau, deviation=dev)
-        return None
-
-    probes = _probe_pairs(d)
-
-    def haar_inputs():
-        for trial in itertools.count(len(probes) + 1):
-            s1, s2, pv = (qcore.haar_random_state(d, rng) for _ in range(3))
-            # Cover the equal-pair case explicitly on alternating trials.
-            tv = pv if trial % 2 == 0 else qcore.haar_random_state(d, rng)
-            yield s1, s2, pv, tv
-
-    for inputs in itertools.islice(itertools.chain(probes, haar_inputs()),
-                                   trials):
-        found = attempt(*inputs)
-        if found is not None:
-            return found
-    raise RuntimeError(
-        f"no counterexample above deviation {_SEARCH_DEVIATION} in {trials} trials; "
-        "tolerance too tight for this rule")
 
 
-def _equal_pair_gap(a: np.ndarray, d: int) -> float:
-    """g = ||P_sym (I - T) P_sym||: the largest |eigenvalue| of the
-    compression, symmetrised as check_effect does; no SVD needed."""
+def _equal_pair_gap(a: np.ndarray, d: int) -> tuple[float, np.ndarray]:
+    """Top eigenpair (g, psi) of C = P_sym (I - T) P_sym, symmetrised as
+    check_effect does. C >= 0, so g = ||C||."""
     p_sym, _ = symmetry.sym_antisym_projectors(d)
     c = p_sym - p_sym @ a @ p_sym
-    return float(np.max(np.abs(np.linalg.eigvalsh((c + c.conj().T) / 2))))
+    w, v = np.linalg.eigh((c + c.conj().T) / 2)
+    return float(w[-1]), v[:, -1]
 
 
 def theorem_one_check(t, seed=0) -> ViolationCertificate:
@@ -181,11 +163,17 @@ def theorem_one_check(t, seed=0) -> ViolationCertificate:
 
     Since 0 <= I - T and the product vectors |phi phi> span the symmetric
     subspace, every equal pair scores 1 exactly when the symmetric
-    compression g = ||P_sym (I - T) P_sym|| vanishes. If g <= EQUAL_PAIR_TOL,
-    the orthogonal pair (e0, e1) scores at least 1/2 - g/2 - sqrt(g).
-    Otherwise the Haar average of <phi phi|T|phi phi> is at most
-    1 - g / dim(H+), and the certificate is the equal pair on the
-    lowest-scoring Haar candidate.
+    compression C = P_sym (I - T) P_sym vanishes. Let (g, psi) be its top
+    eigenpair. If g <= EQUAL_PAIR_TOL, the orthogonal pair (e0, e1) scores
+    at least 1/2 - g/2 - sqrt(g). Otherwise write psi as a symmetric d x d
+    matrix Psi, so that <phi phi|psi> = x^T Psi x with x = conj(phi). Over
+    unit x, |x^T Psi x| peaks at the top singular value s >= 1/sqrt(d) of
+    Psi, at a Takagi vector (Horn & Johnson, Matrix Analysis, section 4.4).
+    With x = p + iq, Re(x^T Psi x) is the quadratic form of
+    [[Re Psi, -Im Psi], [-Im Psi, -Re Psi]] on [p; q], so its top
+    eigenvector gives that x even when s is degenerate. As C >= g |psi><psi|,
+    the equal pair on phi scores at most 1 - g s^2 <= 1 - g/d. No random
+    draw is made; ``seed`` is accepted and ignored.
     """
     a = qcore.check_effect(t)
     dim = a.shape[0]
@@ -195,23 +183,19 @@ def theorem_one_check(t, seed=0) -> ViolationCertificate:
     if d < 2:
         raise ValueError("need d >= 2 so that orthogonal state pairs exist")
 
-    if _equal_pair_gap(a, d) <= EQUAL_PAIR_TOL:
-        e0, e1 = np.eye(d, dtype=complex)[:2]
-        v = np.outer(e0, e1).ravel()
-        value = float(np.real(v.conj() @ a @ v))
-        return ViolationCertificate(kind="orthogonal_pair_fails", pi=e0,
-                                    tau=e1, value=value, bound_violated=0.0)
-
-    candidates = qcore.haar_random_states(d, _HAAR_CANDIDATES, seed)
-    kron_batch = np.einsum("si,sj->sij", candidates, candidates).reshape(-1, dim)
-    # Re<v|T v> as a real dot product of the float views
-    vals = np.einsum("sk,sk->s", kron_batch.view(float),
-                     (kron_batch @ a.T).view(float))
-    phi = candidates[int(np.argmin(vals))]
-    v = np.outer(phi, phi).ravel()
+    g, psi = _equal_pair_gap(a, d)
+    if g <= EQUAL_PAIR_TOL:
+        pi, tau = np.eye(d, dtype=complex)[:2]
+        kind, bound = "orthogonal_pair_fails", 0.0
+    else:
+        m = psi.reshape(d, d)
+        _, x = np.linalg.eigh(np.block([[m.real, -m.imag], [-m.imag, -m.real]]))
+        pi = tau = x[:d, -1] - 1j * x[d:, -1]
+        kind, bound = "equal_pair_fails", 1.0
+    v = np.outer(pi, tau).ravel()
     value = float(np.real(v.conj() @ a @ v))
-    return ViolationCertificate(kind="equal_pair_fails", pi=phi, tau=phi,
-                                value=value, bound_violated=1.0)
+    return ViolationCertificate(kind=kind, pi=pi, tau=tau, value=value,
+                                bound_violated=bound)
 
 
 def certificate_to_json(cert: ViolationCertificate) -> dict:

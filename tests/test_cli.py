@@ -103,6 +103,10 @@ class TestNogoCommand:
         cert = report["results"]["certificates"][0]
         assert cert["kind"] == "equal_pair_fails"
         assert abs(cert["value"] - 2 / 3) < 1e-6
+        # the certificate makes no random draw, so the seed cannot move it
+        reseeded = run_report(capsys, "--seed", "5", "nogo", "--test-file",
+                              str(path))
+        assert reseeded["results"] == report["results"]
 
     def test_identity_certificate(self, capsys, tmp_path):
         path = tmp_path / "eye.json"
@@ -436,18 +440,35 @@ class TestSizeChecks:
         error = assert_usage_error(*run_cli(capsys, "witness", "--bogus"))
         assert "--bogus" in error
 
-    # each asks numpy for a 9e6 x 9e6 complex array (1.15 PiB); the request
-    # exceeds the address space, so it fails at once without touching memory
+    # each would ask numpy for a 9e6 x 9e6 complex array (1.15 PiB); the
+    # parser rejects the size before anything is allocated
     @pytest.mark.parametrize("argv", [
         ["nogo", "--random-family", "1", "--d", "3000"],
         ["optimal-test", "--d", "3000"],
     ])
     def test_oversized_dimension_fails_cleanly(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "\n" not in err.strip()
-        assert "error" in json.loads(err.strip())
+        error = assert_usage_error(*run_cli(capsys, *argv))
+        assert "dimension" in error
+
+    @pytest.mark.parametrize("argv, low", [
+        (["nogo", "--random-family", "2"], 2),
+        (["optimal-test", "--grid", "10"], 1),
+    ])
+    def test_dimension_limit(self, capsys, argv, low):
+        limit = cli._MAX_DIMENSION
+        report = run_report(capsys, *argv, "--d", str(limit))
+        assert report["inputs"]["d"] == limit
+        for d in (low - 1, limit + 1):
+            error = assert_usage_error(*run_cli(capsys, *argv, "--d", str(d)))
+            assert f"dimension in {low}..{limit}" in error
+
+    def test_negative_seed_rejected(self, capsys, tmp_path):
+        path = tmp_path / "eye.json"
+        qcore.save_matrix(path, np.eye(4, dtype=complex))
+        for argv in (["nogo", "--test-file", str(path)],
+                     ["nogo", "--random-family", "1"], ["witness", "--demo"]):
+            error = assert_usage_error(*run_cli(capsys, "--seed", "-1", *argv))
+            assert "non-negative integer" in error
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -162,8 +162,6 @@ class TestForcingCheck:
     def test_last_probe_needs_four_trials(self):
         # only the fourth probe, e1 (x) e0 prepared for (e0, e1), sees p00
         rule = nogo.DecisionRule(1.0, 0.0, 0.0, 0.5)
-        with pytest.raises(RuntimeError, match="3 trials"):
-            nogo.forcing_check(rule, 3, 0)
         found = nogo.forcing_check(rule, 4, 0)
         e0, e1 = np.eye(2)
         assert np.array_equal(found.rho, np.diag(np.kron(e1, e0)))
@@ -171,21 +169,25 @@ class TestForcingCheck:
         assert np.array_equal(found.tau, np.diag(e1))
         assert found.deviation == 0.5
 
-    def test_haar_search_after_probes(self):
-        # every probe deviates by at most 1e-7 < 1e-6, so a Haar
-        # preparation must find the counterexample
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fifth_probe_inside_the_band(self, d):
+        # the first four probes deviate by at most 1e-7 < 1e-6; the fifth,
+        # |00> prepared for the equal pair (+, +), votes mean(p) against 1
         rule = nogo.DecisionRule(1.0, 1e-7, 0.0, 0.0)
-        found = nogo.forcing_check(rule, 50, 3)
-        recomputed = abs(nogo.vote_probability(found.rho, found.pi, found.tau, rule)
-                         - qcore.trace_fidelity(found.pi, found.tau))
-        assert recomputed == pytest.approx(found.deviation, abs=1e-12)
-        assert found.deviation == pytest.approx(0.4505, abs=1e-4)
-        assert np.count_nonzero(np.abs(found.rho) > 1e-12) > 2  # not a probe
+        found = nogo.forcing_check(rule, 1, 0, d=d)
+        assert found.deviation == pytest.approx(
+            1 - np.mean(rule.as_tuple()), abs=1e-12)
+        plus = np.zeros(d)
+        plus[:2] = 1 / np.sqrt(2)
+        assert np.allclose(found.pi, np.outer(plus, plus), atol=1e-15)
+        assert np.array_equal(found.pi, found.tau)
+        assert found.rho[0, 0] == 1.0
 
     def test_deterministic_given_seed(self):
+        # no random draw: the seed and the trial count change nothing
         rule = nogo.DecisionRule(0.8, 0.05, 0.0, 0.1)
         a = nogo.forcing_check(rule, 500, 42)
-        b = nogo.forcing_check(rule, 500, 42)
+        b = nogo.forcing_check(rule, 1, 7)
         assert np.array_equal(a.rho, b.rho)
         assert a.deviation == b.deviation
 
@@ -212,12 +214,15 @@ class TestTheoremOneCheck:
         assert cert.value == pytest.approx(0.0, abs=1e-12)
         assert cert.verify(t)
 
-    def test_scaled_symmetric_projector_fails_equal_pairs(self):
-        p_sym, _ = symmetry.sym_antisym_projectors(2)
-        cert = nogo.theorem_one_check(2 / 3 * p_sym)
+    @pytest.mark.parametrize("scale", [2 / 3, 0.0], ids=["two_thirds", "zero"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scaled_symmetric_projector_fails_equal_pairs(self, d, scale):
+        # C = (1 - scale) P_sym is fully degenerate on the symmetric subspace
+        p_sym, _ = symmetry.sym_antisym_projectors(d)
+        cert = nogo.theorem_one_check(scale * p_sym)
         assert cert.kind == "equal_pair_fails"
-        assert cert.value == pytest.approx(2 / 3, abs=1e-6)
-        assert cert.verify(2 / 3 * p_sym)
+        assert cert.value == pytest.approx(scale, abs=1e-12)
+        assert cert.verify(scale * p_sym)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_constructed_families(self, d):
@@ -254,7 +259,7 @@ class TestTheoremOneCheck:
         cert = nogo.theorem_one_check(t, seed=d)
         assert cert.kind == "equal_pair_fails"
         assert cert.verify(t)
-        assert 1 - eps <= cert.value < 1 - 1e-9
+        assert cert.value == pytest.approx(1 - eps, abs=1e-12)
 
     def test_deficit_outside_symmetric_subspace(self):
         # ||(I - T) P_sym|| = 2e-6 exceeds the tolerance, but every equal pair
@@ -274,7 +279,17 @@ class TestTheoremOneCheck:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(effects(), st.integers(0, 2 ** 32 - 1))
     def test_random_effects_always_certified(self, t, seed):
-        assert nogo.theorem_one_check(t, seed=seed).verify(t)
+        cert = nogo.theorem_one_check(t, seed=seed)
+        assert cert.verify(t)
+        if cert.kind == "equal_pair_fails":
+            # the proven bound: 1 - value >= g s^2 >= g/d
+            d = int(np.sqrt(t.shape[0]))
+            g, _ = nogo._equal_pair_gap(t, d)
+            assert 1 - cert.value >= g / d - 1e-9
+        other = nogo.theorem_one_check(t, seed=seed + 1)
+        assert other.kind == cert.kind and other.value == cert.value
+        assert np.array_equal(other.pi, cert.pi)
+        assert np.array_equal(other.tau, cert.tau)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(effects())
@@ -282,10 +297,25 @@ class TestTheoremOneCheck:
         d = int(np.sqrt(t.shape[0]))
         p_sym, _ = symmetry.sym_antisym_projectors(d)
         norm = np.linalg.norm(p_sym - p_sym @ t @ p_sym, 2)
-        assert abs(nogo._equal_pair_gap(t, d) - norm) <= 1e-12
+        g, _ = nogo._equal_pair_gap(t, d)
+        assert abs(g - norm) <= 1e-12
         kind = ("orthogonal_pair_fails" if norm <= nogo.EQUAL_PAIR_TOL
                 else "equal_pair_fails")
         assert nogo.theorem_one_check(t).kind == kind
+
+    def test_makes_no_random_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random draw")
+        monkeypatch.setattr(qcore, "haar_random_state", refuse)
+        monkeypatch.setattr(qcore, "haar_random_states", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        p_sym, p_anti = symmetry.sym_antisym_projectors(3)
+        for t, kind in [(p_sym + 0.5 * p_anti, "orthogonal_pair_fails"),
+                        (0.9 * p_sym, "equal_pair_fails")]:
+            cert = nogo.theorem_one_check(t)
+            assert cert.kind == kind and cert.verify(t)
+        rule = nogo.DecisionRule(1.0, 0.0, 1e-7, 0.0)
+        assert nogo.forcing_check(rule, 10, 0).deviation > 0.7
 
     def test_rejects_invalid_operator(self):
         with pytest.raises(ValueError, match="spectrum"):

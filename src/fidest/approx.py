@@ -3,7 +3,10 @@
 Invariant tests on H (x) H are parameterized by their coefficients on the
 symmetric and antisymmetric projectors. The worst-case deviation of such a
 test from the overlap has the closed form max{(sigma+alpha)/2, 1-sigma},
-minimized at sigma = 2/3, alpha = 0 with value 1/3.
+minimized at sigma = 2/3, alpha = 0 with value 1/3. On a product pair the
+test scores alpha + (sigma-alpha)(1+x)/2 exactly, x the squared overlap, so
+delta_numeric scans x alone and draws no states; only partial_info_check
+samples Haar-random pairs.
 """
 
 from __future__ import annotations
@@ -43,29 +46,18 @@ def delta_closed_form(t: InvariantTest) -> float:
     return max((t.sigma + t.alpha_coef) / 2, 1.0 - t.sigma)
 
 
-def delta_numeric(t: InvariantTest, grid_points: int, seed=0,
-                  haar_pairs: int = 100) -> float:
-    """Maximize |alpha + (sigma-alpha)(1+x)/2 - x| over a grid in the squared
-    overlap x, plus Haar-random state pairs as a safety net."""
+def delta_numeric(t: InvariantTest, grid_points: int, seed=0) -> float:
+    """Maximize |alpha + (sigma-alpha)(1+x)/2 - x| over ``grid_points``
+    evenly spaced squared overlaps x in [0, 1].
+
+    The deviation is linear in x and the grid holds both ends, so the
+    maximum is delta_closed_form up to rounding. No random draw is made;
+    ``seed`` is accepted and ignored."""
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     x = np.linspace(0.0, 1.0, grid_points)
     overlap_term = t.alpha_coef + (t.sigma - t.alpha_coef) * (1.0 + x) / 2
-    best = float(np.max(np.abs(overlap_term - x)))
-
-    if haar_pairs < 1:
-        return best
-    a = t.to_operator()
-    rng = np.random.default_rng(seed)
-    phis = qcore.haar_random_states(t.d, haar_pairs, rng)
-    thetas = qcore.haar_random_states(t.d, haar_pairs, rng)
-    pairs = np.einsum("si,sj->sij", phis, thetas).reshape(haar_pairs, -1)
-    # Re<v|A v> as a real dot product of the float views, as in
-    # partial_info_check
-    achieved = np.einsum("sk,sk->s", pairs.view(float),
-                         (pairs @ a.T).view(float))
-    targets = np.abs(np.einsum("si,si->s", phis.conj(), thetas)) ** 2
-    return max(best, float(np.max(np.abs(achieved - targets))))
+    return float(np.max(np.abs(overlap_term - x)))
 
 
 def optimize_invariant_test() -> tuple[InvariantTest, float]:

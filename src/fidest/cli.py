@@ -3,8 +3,8 @@
 Every subcommand prints a single JSON report to stdout:
 {command, inputs, results, seed, tolerances, wall_time_ms}. Failures print a
 one-line JSON error object to stderr and exit nonzero: 2 for a command line
-that argparse rejects, 1 for any other bad input. All randomness is
-controlled by --seed.
+that argparse rejects, 1 for any other bad input. The only random draw,
+the operators of nogo --random-family, is controlled by --seed.
 """
 
 from __future__ import annotations
@@ -69,14 +69,14 @@ def cmd_optimal_test(args) -> dict:
     best, delta_min = approx.optimize_invariant_test()
     test = approx.InvariantTest(sigma=best.sigma, alpha_coef=best.alpha_coef,
                                 d=args.d)
-    numeric = approx.delta_numeric(test, args.grid, seed=args.seed)
+    numeric = approx.delta_numeric(test, args.grid)
     if args.out:
         qcore.save_matrix(args.out, test.to_operator())
     if args.sweep:
         pts = np.linspace(0.0, 1.0, args.sweep_points)
         with open(args.sweep, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["sigma", "alpha", "delta_closed", "delta_numeric"])
+            writer.writerow(["sigma", "alpha", "delta_closed"])
             for s in pts:
                 for a in pts:
                     sweep_test = approx.InvariantTest(sigma=float(s),
@@ -84,9 +84,7 @@ def cmd_optimal_test(args) -> dict:
                                                       d=args.d)
                     writer.writerow([
                         f"{s:.6f}", f"{a:.6f}",
-                        f"{approx.delta_closed_form(sweep_test):.12f}",
-                        f"{approx.delta_numeric(sweep_test, 101, seed=args.seed, haar_pairs=10):.12f}",
-                    ])
+                        f"{approx.delta_closed_form(sweep_test):.12f}"])
     inputs = {"grid": args.grid, "d": args.d, "out": args.out,
               "sweep": args.sweep}
     results = {"sigma": best.sigma, "alpha": best.alpha_coef,
@@ -224,6 +222,14 @@ _nogo_dimension = _number(int, lambda v: 2 <= v <= _MAX_DIMENSION,
                           f"dimension in 2..{_MAX_DIMENSION}")
 _test_dimension = _number(int, lambda v: 1 <= v <= _MAX_DIMENSION,
                           f"dimension in 1..{_MAX_DIMENSION}")
+# optimal-test: --grid holds a few float arrays of its size (8 MB each at the
+# cap), --sweep-points writes its square in CSV rows (40401 at the cap)
+_MAX_GRID = 10**6
+_MAX_SWEEP_POINTS = 201
+_grid = _number(int, lambda v: 2 <= v <= _MAX_GRID,
+                f"grid size in 2..{_MAX_GRID}")
+_sweep_points = _number(int, lambda v: 1 <= v <= _MAX_SWEEP_POINTS,
+                        f"point count in 1..{_MAX_SWEEP_POINTS}")
 _finite_float = _number(float, math.isfinite, "finite number")
 _positive_float = _number(float, lambda v: math.isfinite(v) and v > 0,
                           "positive finite number")
@@ -247,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "no-go certificates, the optimal universal test, and "
                     "copies/samples minimax strategies.")
     parser.add_argument("--seed", type=_seed, default=0,
-                        help="seed of nogo --random-family and optimal-test")
+                        help="seed of the nogo --random-family operators")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     w = sub.add_parser("witness", help="evaluate the extended estimator")
@@ -261,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=cmd_witness)
 
     o = sub.add_parser("optimal-test", help="optimal invariant test")
-    o.add_argument("--grid", type=_positive_int, default=1000)
+    o.add_argument("--grid", type=_grid, default=1000)
     o.add_argument("--d", type=_test_dimension, default=2)
     o.add_argument("--out", type=str, default=None,
                    help="write the optimal effect as matrix JSON")
     o.add_argument("--sweep", type=str, default=None,
                    help="write a coefficient-grid CSV to this path")
-    o.add_argument("--sweep-points", type=_positive_int, default=21)
+    o.add_argument("--sweep-points", type=_sweep_points, default=21)
     o.set_defaults(func=cmd_optimal_test)
 
     g = sub.add_parser("nogo", help="violation certificates for test operators")

@@ -201,14 +201,6 @@ def _l1_errors(alpha: np.ndarray, table: _AngleTable,
     return errors
 
 
-def achieved_distribution(inst: GeneralInstance, coeffs: CoefficientMatrix,
-                          gamma: float) -> np.ndarray:
-    """Outcome-count distribution f = alpha . beta(gamma)."""
-    _check_shape(inst, coeffs)
-    f = coeffs.alpha @ _angle_table(inst.poly, 0, np.array([gamma])).beta[0]
-    return qcore.check_outcome_distribution(f)
-
-
 def _check_shape(inst: GeneralInstance, coeffs: CoefficientMatrix) -> None:
     if (coeffs.m, coeffs.n) != (inst.m, inst.n):
         raise ValueError(

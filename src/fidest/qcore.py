@@ -102,15 +102,6 @@ def trace_fidelity(p, t) -> float:
     return float(((x + y) / 2).real)
 
 
-def haar_random_state(dim: int, seed) -> np.ndarray:
-    """Uniformly random unit vector; deterministic per seed."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def haar_random_states(dim: int, count: int, seed) -> np.ndarray:
     """Batch of uniformly random unit vectors, shape (count, dim).
 

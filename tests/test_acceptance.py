@@ -136,7 +136,7 @@ def test_08_twirl_equivalence():
             emb = oracle.symmetric_embedding(2, n)
             dim = emb.dim_plus ** 2
             rhos = np.stack([
-                qcore.pure_state_projector(qcore.haar_random_state(dim, rng))
+                qcore.pure_state_projector(qcore.haar_random_states(dim, 1, rng)[0])
                 for _ in range(10)
             ])
             acc = np.zeros_like(rhos)

@@ -47,30 +47,8 @@ class TestDeltaNumeric:
         t = approx.InvariantTest(sigma=0.37, alpha_coef=0.12, d=3)
         x = np.linspace(0.0, 1.0, 7)
         grid = np.max(np.abs(0.12 + 0.25 * (1.0 + x) / 2 - x))
-        assert approx.delta_numeric(t, 7, haar_pairs=0) == pytest.approx(
+        assert approx.delta_numeric(t, 7) == pytest.approx(
             grid, abs=1e-15)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_haar_pairs_apply_the_operator(self, monkeypatch, d):
-        # an operator off the invariant family errs on the Haar pairs by more
-        # than the grid of the test shows; the pairs are scored one by one
-        # here, on the same draws
-        u = qcore.haar_random_unitary(d * d, 3)
-        op = (u * np.linspace(-1.0, 2.0, d * d)) @ u.conj().T
-        monkeypatch.setattr(approx.InvariantTest, "to_operator",
-                            lambda self: op)
-        rng = np.random.default_rng(5)
-        phis = qcore.haar_random_states(d, 100, rng)
-        thetas = qcore.haar_random_states(d, 100, rng)
-        worst = 0.0
-        for phi, theta in zip(phis, thetas):
-            v = np.outer(phi, theta).ravel()
-            achieved = float(np.real(v.conj() @ op @ v))
-            worst = max(worst, abs(achieved - abs(np.vdot(phi, theta)) ** 2))
-        assert worst > 1 / 3
-        t = approx.InvariantTest(sigma=2 / 3, alpha_coef=0.0, d=d)
-        assert approx.delta_numeric(t, 11, seed=5) == pytest.approx(
-            worst, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_agrees_with_closed_form_on_grid(self, d):
@@ -79,8 +57,27 @@ class TestDeltaNumeric:
             for a in pts:
                 t = approx.InvariantTest(sigma=float(s), alpha_coef=float(a), d=d)
                 closed = approx.delta_closed_form(t)
-                numeric = approx.delta_numeric(t, 1000, haar_pairs=5)
+                numeric = approx.delta_numeric(t, 1000)
                 assert abs(closed - numeric) < 1e-6
+
+    def test_two_points_give_the_closed_form(self):
+        # the deviation is linear in x, so its ends x = 0, 1 attain the max
+        pts = np.linspace(0.0, 1.0, 101)
+        for s in pts:
+            for a in pts:
+                t = approx.InvariantTest(sigma=float(s), alpha_coef=float(a))
+                assert abs(approx.delta_numeric(t, 2)
+                           - approx.delta_closed_form(t)) <= 2.3e-16
+
+    def test_makes_no_random_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random draw")
+        monkeypatch.setattr(qcore, "haar_random_states", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for d in (1, 2, 3):
+            t = approx.InvariantTest(sigma=2 / 3, alpha_coef=0.0, d=d)
+            assert approx.delta_numeric(t, 1000, seed=5) == pytest.approx(
+                1 / 3, abs=1e-15)
 
     def test_overlap_identity(self):
         # Tr((pi x tau) A) = alpha + (sigma - alpha)(1 + F)/2
@@ -88,8 +85,8 @@ class TestDeltaNumeric:
         t = approx.InvariantTest(sigma=0.37, alpha_coef=0.12, d=3)
         a = t.to_operator()
         for _ in range(200):
-            phi = qcore.haar_random_state(3, rng)
-            theta = qcore.haar_random_state(3, rng)
+            phi = qcore.haar_random_states(3, 1, rng)[0]
+            theta = qcore.haar_random_states(3, 1, rng)[0]
             v = np.kron(phi, theta)
             achieved = float(np.real(v.conj() @ a @ v))
             f = abs(np.vdot(phi, theta)) ** 2
@@ -100,8 +97,8 @@ class TestDeltaNumeric:
         t = approx.InvariantTest(sigma=2 / 3, alpha_coef=0.0)
         a = t.to_operator()
         rng = np.random.default_rng(5)
-        phi = qcore.haar_random_state(2, rng)
-        theta = qcore.haar_random_state(2, rng)
+        phi = qcore.haar_random_states(2, 1, rng)[0]
+        theta = qcore.haar_random_states(2, 1, rng)[0]
 
         def deviation(x, y):
             v = np.kron(x, y)

@@ -88,10 +88,16 @@ class TestOptimalTestCommand:
                    "--sweep-points", "5")
         with open(sweep, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["sigma", "alpha", "delta_closed", "delta_numeric"]
+        assert rows[0] == ["sigma", "alpha", "delta_closed"]
         assert len(rows) == 1 + 25
-        for _, _, closed, numeric in rows[1:]:
-            assert abs(float(closed) - float(numeric)) < 1e-6
+        for sigma, alpha, closed in rows[1:]:
+            s, a = float(sigma), float(alpha)
+            assert abs(float(closed) - max((s + a) / 2, 1 - s)) < 1e-12
+
+    def test_same_report_for_every_seed(self, capsys):
+        r1 = run_report(capsys, "--seed", "1", "optimal-test", "--d", "3")
+        r2 = run_report(capsys, "--seed", "2", "optimal-test", "--d", "3")
+        assert r1["results"] == r2["results"]
 
 
 class TestNogoCommand:
@@ -386,7 +392,10 @@ class TestSizeChecks:
         if argv[0] == "optimal-test":
             argv = argv + ["--sweep", str(tmp_path / "sweep.csv")]
         error = assert_usage_error(*run_cli(capsys, *argv))
-        assert "positive integer" in error or "not an integer" in error
+        expected = {"--grid": "grid size in 2..",
+                    "--sweep-points": "point count in 1.."}.get(
+                        argv[1], "positive integer")
+        assert expected in error or "not an integer" in error
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
@@ -461,6 +470,24 @@ class TestSizeChecks:
         for d in (low - 1, limit + 1):
             error = assert_usage_error(*run_cli(capsys, *argv, "--d", str(d)))
             assert f"dimension in {low}..{limit}" in error
+
+    @pytest.mark.parametrize("flag, low, limit", [
+        ("--grid", 2, cli._MAX_GRID),
+        ("--sweep-points", 1, cli._MAX_SWEEP_POINTS),
+    ])
+    def test_optimal_test_size_limit(self, capsys, tmp_path, flag, low, limit):
+        sweep = tmp_path / "sweep.csv"
+        report = run_report(capsys, "optimal-test", "--sweep", str(sweep),
+                            flag, str(limit))
+        assert report["results"]["delta_numeric"] == pytest.approx(
+            1 / 3, abs=1e-15)
+        if flag == "--sweep-points":
+            with open(sweep, newline="") as fh:
+                assert sum(1 for _ in fh) == 1 + limit ** 2
+        for value in (low - 1, limit + 1):
+            error = assert_usage_error(*run_cli(capsys, "optimal-test", flag,
+                                                str(value)))
+            assert f"in {low}..{limit}" in error
 
     def test_negative_seed_rejected(self, capsys, tmp_path):
         path = tmp_path / "eye.json"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from fidest import general, symmetry
+from fidest import general, qcore, symmetry
 
 import oracle
 
@@ -51,6 +51,12 @@ def assert_polished(alpha, poly, m, scan, values, threshold, angles, errors):
         assert error >= l1_errors(alpha, poly, m, window).max() - 1e-13
 
 
+def achieved_distribution(inst, coeffs, gamma):
+    """Outcome-count distribution alpha . beta(gamma), validated."""
+    f = coeffs.alpha @ general._angle_table(inst.poly, 0, [gamma]).beta[0]
+    return qcore.check_outcome_distribution(f)
+
+
 def worst_case(inst, coeffs):
     return float(general.error_profile(inst, coeffs).max())
 
@@ -78,7 +84,7 @@ class TestAchievedDistribution:
                                            alpha=np.array([[0.0, 1.0],
                                                            [1.0, 0.0]]))
         for gamma in (0.0, 0.5, 1.2, math.pi / 2):
-            f = general.achieved_distribution(inst, coeffs, gamma)
+            f = achieved_distribution(inst, coeffs, gamma)
             assert f[1] == pytest.approx((1 + math.cos(gamma) ** 2) / 2, abs=1e-12)
 
     def test_constant_strategy_ignores_angle(self):
@@ -87,14 +93,14 @@ class TestAchievedDistribution:
         coeffs = general.CoefficientMatrix(
             m=2, n=1, alpha=np.tile(p0[:, None], (1, 2)))
         for gamma in (0.0, 0.8, math.pi / 2):
-            assert np.max(np.abs(general.achieved_distribution(inst, coeffs, gamma)
+            assert np.max(np.abs(achieved_distribution(inst, coeffs, gamma)
                                  - p0)) < 1e-12
 
     def test_uniform_strategy(self):
         inst = general.make_instance(2, 2, 2, grid_points=17)
         coeffs = general.CoefficientMatrix(
             m=2, n=2, alpha=np.full((3, 3), 1 / 3))
-        f = general.achieved_distribution(inst, coeffs, 0.7)
+        f = achieved_distribution(inst, coeffs, 0.7)
         assert np.max(np.abs(f - 1 / 3)) < 1e-12
 
     def test_shape_mismatch(self):
@@ -102,13 +108,13 @@ class TestAchievedDistribution:
         coeffs = general.CoefficientMatrix(m=2, n=1, alpha=np.array(
             [[0.2, 0.2], [0.3, 0.3], [0.5, 0.5]]))
         with pytest.raises(ValueError, match="coefficients"):
-            general.achieved_distribution(inst, coeffs, 0.3)
+            general.error_profile(inst, coeffs)
 
     def test_rejects_nan_angle(self):
         inst = general.make_instance(2, 1, 1, grid_points=17)
         coeffs = general.CoefficientMatrix(m=1, n=1, alpha=np.eye(2))
         with pytest.raises(ValueError, match="out of range"):
-            general.achieved_distribution(inst, coeffs, math.nan)
+            achieved_distribution(inst, coeffs, math.nan)
 
 
 class TestDualRouteReduction:
@@ -127,7 +133,7 @@ class TestDualRouteReduction:
             big = np.kron(oracle.kron_power(phi, n), oracle.kron_power(theta, n))
             w = j.conj().T @ big
             direct = np.array([float(np.real(w.conj() @ fk @ w)) for fk in effects])
-            reduced = general.achieved_distribution(inst, coeffs, gamma)
+            reduced = achieved_distribution(inst, coeffs, gamma)
             assert np.max(np.abs(direct - reduced)) < 1e-9
             assert reduced.sum() == pytest.approx(1.0, abs=1e-10)
             assert reduced.min() > -1e-12
@@ -144,7 +150,7 @@ class TestObjective:
         p0 = target(1, math.pi / 4)
         coeffs = general.CoefficientMatrix(m=1, n=1,
                                            alpha=np.tile(p0[:, None], (1, 2)))
-        f = general.achieved_distribution(inst, coeffs, 0.0)
+        f = achieved_distribution(inst, coeffs, 0.0)
         assert np.sum(np.abs(f - target(1, 0.0))) == \
             pytest.approx(1.0, abs=1e-12)
         assert worst_case(inst, coeffs) == pytest.approx(1.0, abs=1e-12)
@@ -214,7 +220,7 @@ class TestSolveMinimax:
         coeffs = general.CoefficientMatrix(
             m=1, n=2, alpha=np.vstack([1.0 - alpha_one, alpha_one]))
         for gamma in (0.0, 0.6, 1.3):
-            f = general.achieved_distribution(inst, coeffs, gamma)
+            f = achieved_distribution(inst, coeffs, gamma)
             assert f[1] == pytest.approx((1 + math.cos(gamma) ** 2) / 3, abs=1e-10)
         embedded_value = worst_case(inst, coeffs)
         assert embedded_value == pytest.approx(2 / 3, abs=1e-10)
@@ -253,7 +259,7 @@ class TestBatchedEvaluation:
         for _ in range(3):
             coeffs = random_coefficients(m, n, rng)
             per_angle = np.array([
-                np.sum(np.abs(general.achieved_distribution(inst, coeffs, g)
+                np.sum(np.abs(achieved_distribution(inst, coeffs, g)
                               - target(m, g)))
                 for g in inst.gamma_grid])
             profile = general.error_profile(inst, coeffs)

@@ -8,8 +8,8 @@ from fidest.cli import random_test_family
 
 
 def random_pure_pair(d, rng):
-    pi = qcore.pure_state_projector(qcore.haar_random_state(d, rng))
-    tau = qcore.pure_state_projector(qcore.haar_random_state(d, rng))
+    pi = qcore.pure_state_projector(qcore.haar_random_states(d, 1, rng)[0])
+    tau = qcore.pure_state_projector(qcore.haar_random_states(d, 1, rng)[0])
     return pi, tau
 
 
@@ -87,14 +87,14 @@ class TestVoteProbability:
     def test_always_vote_one(self):
         rng = np.random.default_rng(1)
         pi, tau = random_pure_pair(2, rng)
-        rho = qcore.pure_state_projector(qcore.haar_random_state(4, rng))
+        rho = qcore.pure_state_projector(qcore.haar_random_states(4, 1, rng)[0])
         rule = nogo.DecisionRule(1.0, 1.0, 1.0, 1.0)
         assert nogo.vote_probability(rho, pi, tau, rule) == pytest.approx(1.0, abs=1e-10)
 
     def test_never_vote_one(self):
         rng = np.random.default_rng(2)
         pi, tau = random_pure_pair(2, rng)
-        rho = qcore.pure_state_projector(qcore.haar_random_state(4, rng))
+        rho = qcore.pure_state_projector(qcore.haar_random_states(4, 1, rng)[0])
         rule = nogo.DecisionRule(0.0, 0.0, 0.0, 0.0)
         assert nogo.vote_probability(rho, pi, tau, rule) == pytest.approx(0.0, abs=1e-10)
 
@@ -121,7 +121,7 @@ class TestVoteProbability:
     def test_affine_in_each_coordinate(self):
         rng = np.random.default_rng(4)
         pi, tau = random_pure_pair(2, rng)
-        rho = qcore.pure_state_projector(qcore.haar_random_state(4, rng))
+        rho = qcore.pure_state_projector(qcore.haar_random_states(4, 1, rng)[0])
         base = [0.5, 0.5, 0.5, 0.5]
         for coord in range(4):
             def at(x):
@@ -253,7 +253,7 @@ class TestTheoremOneCheck:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_local_dip_just_above_tolerance(self, d):
         eps = 2 * nogo.EQUAL_PAIR_TOL
-        psi = qcore.haar_random_state(d, np.random.default_rng(d))
+        psi = qcore.haar_random_states(d, 1, np.random.default_rng(d))[0]
         v = np.kron(psi, psi)
         t = np.eye(d * d) - eps * np.outer(v, v.conj())
         cert = nogo.theorem_one_check(t, seed=d)
@@ -306,7 +306,6 @@ class TestTheoremOneCheck:
     def test_makes_no_random_draw(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("random draw")
-        monkeypatch.setattr(qcore, "haar_random_state", refuse)
         monkeypatch.setattr(qcore, "haar_random_states", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         p_sym, p_anti = symmetry.sym_antisym_projectors(3)

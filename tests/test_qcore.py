@@ -54,7 +54,7 @@ class TestPureStateProjector:
 
     def test_random_is_rank_one_projector(self):
         for seed in range(5):
-            s = qcore.haar_random_state(4, seed)
+            s = qcore.haar_random_states(4, 1, seed)[0]
             p = qcore.pure_state_projector(s)
             assert np.max(np.abs(p @ p - p)) < 1e-12
             assert abs(np.trace(p) - 1.0) < 1e-12
@@ -93,8 +93,8 @@ class TestTraceFidelity:
     def test_pure_states_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            p = qcore.pure_state_projector(qcore.haar_random_state(3, rng))
-            t = qcore.pure_state_projector(qcore.haar_random_state(3, rng))
+            p = qcore.pure_state_projector(qcore.haar_random_states(3, 1, rng)[0])
+            t = qcore.pure_state_projector(qcore.haar_random_states(3, 1, rng)[0])
             f = qcore.trace_fidelity(p, t)
             assert -1e-12 <= f <= 1.0 + 1e-12
 
@@ -105,12 +105,12 @@ class TestTraceFidelity:
 
 class TestHaarSampling:
     def test_dim_one_state(self):
-        s = qcore.haar_random_state(1, 9)
+        s = qcore.haar_random_states(1, 1, 9)[0]
         assert abs(abs(s[0]) - 1.0) < 1e-12
 
     def test_state_determinism(self):
-        a = qcore.haar_random_state(4, 1234)
-        b = qcore.haar_random_state(4, 1234)
+        a = qcore.haar_random_states(4, 1, 1234)[0]
+        b = qcore.haar_random_states(4, 1, 1234)[0]
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dim,count,seed", [(1, 1, 0), (2, 5, 1),
@@ -199,7 +199,7 @@ class TestMatrixJson:
         assert np.array_equal(back, m)
 
     def test_state_uses_single_column(self):
-        s = qcore.haar_random_state(4, 2)
+        s = qcore.haar_random_states(4, 1, 2)[0]
         obj = qcore.matrix_to_json(s)
         assert obj["cols"] == 1 and obj["rows"] == 4
         back = qcore.matrix_from_json(obj)

@@ -71,8 +71,8 @@ class TestSymAntisymProjectors:
             p_sym, _ = symmetry.sym_antisym_projectors(d)
             rng = np.random.default_rng(d)
             for _ in range(200):
-                phi = qcore.haar_random_state(d, rng)
-                theta = qcore.haar_random_state(d, rng)
+                phi = qcore.haar_random_states(d, 1, rng)[0]
+                theta = qcore.haar_random_states(d, 1, rng)[0]
                 v = np.kron(phi, theta)
                 lhs = float(np.real(v.conj() @ p_sym @ v))
                 overlap = abs(np.vdot(phi, theta)) ** 2
@@ -113,7 +113,7 @@ class TestSymmetricEmbedding:
 class TestEmbedStatePower:
     def test_single_copy(self):
         emb = oracle.symmetric_embedding(2, 1)
-        s = qcore.haar_random_state(2, 0)
+        s = qcore.haar_random_states(2, 1, 0)[0]
         assert np.max(np.abs(oracle.embed_state_power(s, emb) - s)) < 1e-15
 
     def test_basis_state_power(self):
@@ -132,7 +132,7 @@ class TestEmbedStatePower:
     def test_matches_kron_power_oracle(self, d, n):
         emb = oracle.symmetric_embedding(d, n)
         for seed in range(3):
-            s = qcore.haar_random_state(d, seed)
+            s = qcore.haar_random_states(d, 1, seed)[0]
             direct = emb.basis.conj().T @ oracle.kron_power(s, n)
             closed = oracle.embed_state_power(s, emb)
             assert np.max(np.abs(direct - closed)) < 1e-12
@@ -248,7 +248,7 @@ class TestTwirl:
     def test_matches_monte_carlo_average(self):
         dec = oracle.isotypic_projectors(2, 1)
         rng = np.random.default_rng(0)
-        rho = qcore.pure_state_projector(qcore.haar_random_state(4, rng))
+        rho = qcore.pure_state_projector(qcore.haar_random_states(4, 1, rng)[0])
         acc = np.zeros_like(rho)
         count = 10 ** 4
         for _ in range(count):
@@ -262,7 +262,7 @@ class TestTwirl:
         rng = np.random.default_rng(5)
         for _ in range(10):
             rho = qcore.pure_state_projector(
-                qcore.haar_random_state(dec.space_dim, rng))
+                qcore.haar_random_states(dec.space_dim, 1, rng)[0])
             out = oracle.twirl(rho, dec)
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(out).min() > -1e-10
@@ -281,7 +281,7 @@ class TestBetaCoefficients:
     def test_equal_pair_has_no_antisymmetric_weight(self):
         dec = oracle.isotypic_projectors(2, 1)
         emb = oracle.symmetric_embedding(2, 1)
-        phi = qcore.haar_random_state(2, 3)
+        phi = qcore.haar_random_states(2, 1, 3)[0]
         beta = _pair_weights(dec, emb, phi, phi)
         assert beta[1] == pytest.approx(0.0, abs=1e-12)
 

@@ -90,8 +90,8 @@ class TestEstimatorMap:
             w = witness.construct_witness(qcore.matrix_unit_basis(d))
             rng = np.random.default_rng(d)
             for _ in range(1000):
-                phi = qcore.haar_random_state(d, rng)
-                theta = qcore.haar_random_state(d, rng)
+                phi = qcore.haar_random_states(d, 1, rng)[0]
+                theta = qcore.haar_random_states(d, 1, rng)[0]
                 rho = np.kron(qcore.pure_state_projector(phi),
                               qcore.pure_state_projector(theta))
                 out = witness.estimator_map(rho, w)
@@ -102,7 +102,7 @@ class TestEstimatorMap:
 
     def test_components_sum_to_one(self):
         w = witness.construct_witness(qcore.matrix_unit_basis(2))
-        rho = qcore.pure_state_projector(qcore.haar_random_state(4, 1))
+        rho = qcore.pure_state_projector(qcore.haar_random_states(4, 1, 1)[0])
         out = witness.estimator_map(rho, w)
         assert out.one_component + out.zero_component == pytest.approx(1.0, abs=1e-12)
 

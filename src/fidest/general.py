@@ -1,13 +1,13 @@
 """Worst-case optimal sampling strategies for n copies and m samples.
 
 An invariant strategy is a coefficient matrix alpha[k, l] assigning each
-outcome count k the weight of isotypic block l; the induced outcome
-distribution at state-pair angle gamma is f_k = sum_l alpha[k, l] beta_l(gamma),
-to be compared in L1 against the binomial target with success probability
-cos^2(gamma). The minimax coefficients are found by linear programming over a
-gamma grid with cutting-plane refinement, for every m by one dense dual
-simplex of this module (_CutLP), whose cuts are separated at a stability
-centre (in-out separation); no SciPy is imported.
+outcome count k the weight of block l; the induced outcome distribution at
+state-pair angle gamma is f_k = sum_l alpha[k, l] beta_l(gamma), compared in
+L1 against the binomial target of success probability cos^2(gamma) over the
+span of the instance's grid. Every size is read from the arrays. The minimax
+coefficients are found by linear programming with cutting-plane refinement,
+by one dense dual simplex of this module (_CutLP), whose cuts are separated
+at a stability centre (in-out separation); no SciPy is imported.
 """
 
 from __future__ import annotations
@@ -74,19 +74,14 @@ def _frozen(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
-    """Strategy coefficients alpha with shape (m+1, n+1); every block column
-    is a probability distribution over the outcome counts."""
-    m: int
-    n: int
+    """Strategy coefficients alpha with shape (m+1, blocks), the only record
+    of both sizes; every block column is a distribution over outcome counts."""
     alpha: np.ndarray
 
     def __post_init__(self):
         a = _frozen(self.alpha)
-        if a.shape != (self.m + 1, self.n + 1):
-            raise ValueError(
-                f"alpha shape {a.shape} != {(self.m + 1, self.n + 1)}")
-        if not (a.min() >= -1e-12 and a.max() <= 1.0 + 1e-12):
-            raise ValueError("alpha entries outside [0, 1]")
+        if not (a.ndim == 2 and a.min() >= -1e-12 and a.max() <= 1.0 + 1e-12):
+            raise ValueError("alpha is not 2-D with entries in [0, 1]")
         colsums = a.sum(axis=0)
         if float(np.max(np.abs(colsums - 1.0))) > 1e-10:
             raise ValueError(f"column sums {colsums!r} != 1")
@@ -95,18 +90,25 @@ class CoefficientMatrix:
 
 @dataclass(frozen=True)
 class GeneralInstance:
-    """Problem instance: d-level systems, n copies per state, m samples,
-    the angle grid used for optimization, and the (n+1, n+1) Bernstein
-    coefficients of the block weights (see beta_polynomials)."""
+    """d-level systems (a label only), m samples, the strictly increasing
+    angles (two or more, in [0, pi/2]) the strategy must meet, whose span the
+    solver scans, and the (blocks, degree + 1) Bernstein coefficients in
+    x = cos^2 gamma of the block weights, any column-stochastic array."""
     d: int
-    n: int
     m: int
     gamma_grid: np.ndarray
     poly: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_grid", _frozen(self.gamma_grid))
-        object.__setattr__(self, "poly", _frozen(self.poly))
+        grid, poly = _frozen(self.gamma_grid), _frozen(self.poly)
+        if not (poly.ndim == 2 and poly.size and poly.min() >= 0.0
+                and np.max(np.abs(poly.sum(axis=0) - 1.0)) <= 1e-12):
+            raise ValueError("poly is not 2-D, non-negative and column-stochastic")
+        if not (grid.ndim == 1 and grid.size >= 2 and np.all(grid[1:] > grid[:-1])
+                and grid[0] >= 0.0 and grid[-1] <= math.pi / 2):
+            raise ValueError("gamma_grid is not >= 2 increasing angles in [0, pi/2]")
+        object.__setattr__(self, "gamma_grid", grid)
+        object.__setattr__(self, "poly", poly)
 
 
 def make_instance(d: int, n: int, m: int,
@@ -127,7 +129,7 @@ def make_instance(d: int, n: int, m: int,
         raise ValueError(f"grid_points * (m + 1) = {grid_points * (m + 1)} is out "
                          f"of range: require grid_points * (m + 1) <= "
                          f"{_MAX_TABLE_ENTRIES}")
-    return GeneralInstance(d=d, n=n, m=m,
+    return GeneralInstance(d=d, m=m,
                            gamma_grid=np.linspace(0.0, math.pi / 2, grid_points),
                            poly=_exact_block_weights(n))
 
@@ -201,16 +203,12 @@ def _l1_errors(alpha: np.ndarray, table: _AngleTable,
     return errors
 
 
-def _check_shape(inst: GeneralInstance, coeffs: CoefficientMatrix) -> None:
-    if (coeffs.m, coeffs.n) != (inst.m, inst.n):
-        raise ValueError(
-            f"coefficients are for (m={coeffs.m}, n={coeffs.n}), "
-            f"instance has (m={inst.m}, n={inst.n})")
-
-
 def error_profile(inst: GeneralInstance, coeffs: CoefficientMatrix) -> np.ndarray:
     """L1 distance to the binomial target at every grid angle."""
-    _check_shape(inst, coeffs)
+    shape = (inst.m + 1, inst.poly.shape[0])
+    if coeffs.alpha.shape != shape:
+        raise ValueError(f"coefficients of shape {coeffs.alpha.shape} do not "
+                         f"fit the instance's (m + 1, blocks) = {shape}")
     table = _angle_table(beta_polynomials(inst), inst.m, inst.gamma_grid)
     return _l1_errors(coeffs.alpha, table, check=True)
 
@@ -517,12 +515,12 @@ def _bernstein_basis(deg: int, gammas: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _error_coefficients(alpha: np.ndarray, poly: np.ndarray, m: int) -> np.ndarray:
+def _error_coefficients(alpha: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """(D+1, m+1) Bernstein coefficients at degree D = max(n, m) of the errors
-    e_k = f_k - p_k of alpha, one column per k: f_k has the degree-n
-    coefficients (alpha @ poly)[k] and p_k the k-th degree-m unit vector,
-    both elevated to degree D."""
-    n = poly.shape[1] - 1
+    e_k = f_k - p_k of alpha (m + 1 rows), one column per k: f_k has the
+    degree-n coefficients (alpha @ poly)[k], n = poly.shape[1] - 1, and p_k
+    the k-th degree-m unit vector, both elevated to degree D."""
+    n, m = poly.shape[1] - 1, alpha.shape[0] - 1
     deg = max(n, m)
     return (alpha @ poly @ _elevation(n, deg) - _elevation(m, deg)).T
 
@@ -545,15 +543,15 @@ def _derivative_maps(deg: int) -> np.ndarray:
     return maps
 
 
-def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
-                     threshold: float, gammas: np.ndarray,
+def _violated_angles(alpha: np.ndarray, poly: np.ndarray, threshold: float,
+                     gammas: np.ndarray,
                      basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous-angle local maximizers of the L1 error: every local maximum
-    of the dense sorted scan ``gammas`` (with its _bernstein_basis ``basis`` of
-    degree D = max(n, m)) above ``threshold``, and the global one, polished
-    together by a safeguarded Newton iteration in gamma on
-    E(gamma) = sum_k |e_k(x)|, x = cos^2 gamma (after rtsafe, Numerical
-    Recipes 9.4).
+    """Continuous-angle local maximizers of the L1 error of alpha (m+1, blocks)
+    on ``poly`` (degree n): every local maximum of the dense sorted scan
+    ``gammas`` (with its _bernstein_basis ``basis`` of degree D = max(n, m))
+    above ``threshold``, and the global one, polished together inside the
+    scan's span by a safeguarded Newton iteration in gamma on
+    E(gamma) = sum_k |e_k(x)|, x = cos^2 gamma (rtsafe, Numerical Recipes 9.4).
 
     Each peak keeps a bracket, first its two scan neighbours, and the best
     angle evaluated in it, whose error is at least those of both ends, so a
@@ -574,7 +572,7 @@ def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
     than 1e-12. Only the final candidates (both neighbours, the polished
     angle and the scan angle) are scored on an _angle_table, so the returned
     errors are those of _l1_errors. Returns the angles and their errors."""
-    coef = _error_coefficients(alpha, poly, m)
+    coef = _error_coefficients(alpha, poly)
     values = np.abs(coef.T @ basis).sum(axis=0)
     peak = _local_maxima(values) & (values > threshold)
     peak[int(np.argmax(values))] = True
@@ -629,7 +627,7 @@ def _violated_angles(alpha: np.ndarray, poly: np.ndarray, m: int,
         if not live.size:
             break
     candidates = np.stack([lo, g, hi, gammas[idx]])
-    table = _angle_table(poly, m, candidates.ravel())
+    table = _angle_table(poly, alpha.shape[0] - 1, candidates.ravel())
     scores = _l1_errors(alpha, table).reshape(candidates.shape)
     best = np.argmax(scores, axis=0)
     cols = np.arange(idx.size)
@@ -648,20 +646,21 @@ def solve_minimax(inst: GeneralInstance,
     grid peaks (the exchange method for semi-infinite LPs). The off-grid
     local maximizers of the error that exceed the optimum by ``refine_tol``
     then join the refined grid. _violated_angles finds them on the error
-    polynomials: it scans them at the _SCAN_SAMPLES scan angles, whose basis
-    is built once per solve, and polishes every peak by safeguarded Newton
-    steps on their derivatives. The returned value is the worst case of the
-    sanitized strategy over the refined grid."""
+    polynomials: it scans them at _SCAN_SAMPLES angles from the first to the
+    last grid angle, whose basis is built once per solve, and polishes every
+    peak in that span by safeguarded Newton steps on their derivatives. The
+    returned value is the worst case of the sanitized strategy over the
+    refined grid."""
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol = {refine_tol!r} is not a positive number")
     poly, m = beta_polynomials(inst), inst.m
-    scan = np.linspace(0.0, math.pi / 2, _SCAN_SAMPLES)
-    scan_basis = _bernstein_basis(max(inst.n, m), scan)
+    scan = np.linspace(inst.gamma_grid[0], inst.gamma_grid[-1], _SCAN_SAMPLES)
+    scan_basis = _bernstein_basis(max(poly.shape[1] - 1, m), scan)
     table = _angle_table(poly, m, inst.gamma_grid)
     lp = _CutLP(poly.shape[0], m)
     for _ in range(_MAX_ROUNDS):
         alpha, t = lp.solve(table)
-        angles, errors = _violated_angles(alpha, poly, m, t + refine_tol,
+        angles, errors = _violated_angles(alpha, poly, t + refine_tol,
                                           scan, scan_basis)
         if np.max(errors) <= t + refine_tol:
             break
@@ -671,5 +670,5 @@ def solve_minimax(inst: GeneralInstance,
         raise RuntimeError(
             f"grid refinement did not converge within {_MAX_ROUNDS} rounds "
             f"(tolerance {refine_tol})")
-    coeffs = CoefficientMatrix(m=m, n=inst.n, alpha=_sanitize(alpha))
+    coeffs = CoefficientMatrix(alpha=_sanitize(alpha))
     return coeffs, float(np.max(_l1_errors(coeffs.alpha, table, check=True)))

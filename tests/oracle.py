@@ -238,9 +238,10 @@ def beta_for_angle(dec: IsotypicDecomposition,
 def effect_operators(inst: general.GeneralInstance,
                      coeffs: general.CoefficientMatrix) -> list[np.ndarray]:
     """The measurement effects F_k = sum_l alpha[k, l] S_l."""
-    dec = isotypic_projectors(inst.d, inst.n)
+    n = inst.poly.shape[1] - 1
+    dec = isotypic_projectors(inst.d, n)
     return [sum(coeffs.alpha[k, l] * dec.projectors[l]
-                for l in range(inst.n + 1))
+                for l in range(n + 1))
             for k in range(inst.m + 1)]
 
 
@@ -248,9 +249,9 @@ def first_sample_marginal(
         coeffs: general.CoefficientMatrix) -> general.CoefficientMatrix:
     """Strategy induced on the first sample alone: within outcome count k,
     the first sample reads 1 with probability k/m."""
-    if coeffs.m < 2:
+    m = coeffs.alpha.shape[0] - 1
+    if m < 2:
         raise ValueError("marginalization needs m >= 2")
-    weights = np.arange(coeffs.m + 1) / coeffs.m
+    weights = np.arange(m + 1) / m
     one_row = weights @ coeffs.alpha
-    return general.CoefficientMatrix(m=1, n=coeffs.n,
-                                     alpha=np.vstack([1.0 - one_row, one_row]))
+    return general.CoefficientMatrix(alpha=np.vstack([1.0 - one_row, one_row]))

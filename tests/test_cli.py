@@ -471,6 +471,19 @@ class TestSizeChecks:
             error = assert_usage_error(*run_cli(capsys, *argv, "--d", str(d)))
             assert f"dimension in {low}..{limit}" in error
 
+    def test_matrix_file_limit(self, capsys, tmp_path):
+        # a d = 16 effect has the most entries a matrix file may hold
+        path = tmp_path / "effect.json"
+        run_report(capsys, "optimal-test", "--d", "16", "--out", str(path))
+        report = run_report(capsys, "nogo", "--test-file", str(path))
+        assert report["inputs"]["d"] == 16
+        above = tmp_path / "above.json"
+        code, out, err = run_cli(capsys, "optimal-test", "--d", "17",
+                                 "--out", str(above))
+        assert code == 1 and out == "" and "\n" not in err.strip()
+        assert "limit of 65536 entries" in json.loads(err.strip())["error"]
+        assert not above.exists()
+
     @pytest.mark.parametrize("flag, low, limit", [
         ("--grid", 2, cli._MAX_GRID),
         ("--sweep-points", 1, cli._MAX_SWEEP_POINTS),

@@ -21,7 +21,7 @@ SUPPORTED_PAIRS = [(d, n) for d in (2, 3) for n in (1, 2, 3, 4)]
 def random_coefficients(m, n, rng):
     a = rng.uniform(size=(m + 1, n + 1))
     a /= a.sum(axis=0, keepdims=True)
-    return general.CoefficientMatrix(m=m, n=n, alpha=a)
+    return general.CoefficientMatrix(alpha=a)
 
 
 def target(m, gamma):
@@ -80,8 +80,7 @@ class TestTargetDistribution:
 class TestAchievedDistribution:
     def test_single_copy_optimal_mapping(self):
         inst = general.make_instance(2, 1, 1, grid_points=17)
-        coeffs = general.CoefficientMatrix(m=1, n=1,
-                                           alpha=np.array([[0.0, 1.0],
+        coeffs = general.CoefficientMatrix(alpha=np.array([[0.0, 1.0],
                                                            [1.0, 0.0]]))
         for gamma in (0.0, 0.5, 1.2, math.pi / 2):
             f = achieved_distribution(inst, coeffs, gamma)
@@ -90,29 +89,27 @@ class TestAchievedDistribution:
     def test_constant_strategy_ignores_angle(self):
         inst = general.make_instance(2, 1, 2, grid_points=17)
         p0 = target(2, math.pi / 4)
-        coeffs = general.CoefficientMatrix(
-            m=2, n=1, alpha=np.tile(p0[:, None], (1, 2)))
+        coeffs = general.CoefficientMatrix(alpha=np.tile(p0[:, None], (1, 2)))
         for gamma in (0.0, 0.8, math.pi / 2):
             assert np.max(np.abs(achieved_distribution(inst, coeffs, gamma)
                                  - p0)) < 1e-12
 
     def test_uniform_strategy(self):
         inst = general.make_instance(2, 2, 2, grid_points=17)
-        coeffs = general.CoefficientMatrix(
-            m=2, n=2, alpha=np.full((3, 3), 1 / 3))
+        coeffs = general.CoefficientMatrix(alpha=np.full((3, 3), 1 / 3))
         f = achieved_distribution(inst, coeffs, 0.7)
         assert np.max(np.abs(f - 1 / 3)) < 1e-12
 
     def test_shape_mismatch(self):
         inst = general.make_instance(2, 1, 1, grid_points=17)
-        coeffs = general.CoefficientMatrix(m=2, n=1, alpha=np.array(
+        coeffs = general.CoefficientMatrix(alpha=np.array(
             [[0.2, 0.2], [0.3, 0.3], [0.5, 0.5]]))
         with pytest.raises(ValueError, match="coefficients"):
             general.error_profile(inst, coeffs)
 
     def test_rejects_nan_angle(self):
         inst = general.make_instance(2, 1, 1, grid_points=17)
-        coeffs = general.CoefficientMatrix(m=1, n=1, alpha=np.eye(2))
+        coeffs = general.CoefficientMatrix(alpha=np.eye(2))
         with pytest.raises(ValueError, match="out of range"):
             achieved_distribution(inst, coeffs, math.nan)
 
@@ -148,8 +145,7 @@ class TestObjective:
     def test_constant_strategy_at_zero_angle(self):
         inst = general.make_instance(2, 1, 1, grid_points=17)
         p0 = target(1, math.pi / 4)
-        coeffs = general.CoefficientMatrix(m=1, n=1,
-                                           alpha=np.tile(p0[:, None], (1, 2)))
+        coeffs = general.CoefficientMatrix(alpha=np.tile(p0[:, None], (1, 2)))
         f = achieved_distribution(inst, coeffs, 0.0)
         assert np.sum(np.abs(f - target(1, 0.0))) == \
             pytest.approx(1.0, abs=1e-12)
@@ -196,8 +192,8 @@ class TestSolveMinimax:
         # measuring 2/3 P_sym on one copy from each side is a feasible
         # two-copy strategy and reproduces the single-copy worst case
         inst = general.make_instance(2, 2, 1, grid_points=129)
-        dec = oracle.isotypic_projectors(inst.d, inst.n)
-        emb = oracle.symmetric_embedding(inst.d, inst.n)
+        dec = oracle.isotypic_projectors(inst.d, 2)
+        emb = oracle.symmetric_embedding(inst.d, 2)
         p_sym, _ = symmetry.sym_antisym_projectors(2)
         d = 2
         g_full = np.zeros((16, 16), dtype=complex)
@@ -218,7 +214,7 @@ class TestSolveMinimax:
         ])
         assert np.all(alpha_one > -1e-12) and np.all(alpha_one < 1 + 1e-12)
         coeffs = general.CoefficientMatrix(
-            m=1, n=2, alpha=np.vstack([1.0 - alpha_one, alpha_one]))
+            alpha=np.vstack([1.0 - alpha_one, alpha_one]))
         for gamma in (0.0, 0.6, 1.3):
             f = achieved_distribution(inst, coeffs, gamma)
             assert f[1] == pytest.approx((1 + math.cos(gamma) ** 2) / 3, abs=1e-10)
@@ -381,7 +377,7 @@ class TestCuttingPlanes:
         above = interior[values[interior] > threshold]
         assert above.size >= 2
         angles, errors = general._violated_angles(
-            alpha, inst.poly, 8, threshold, scan,
+            alpha, inst.poly, threshold, scan,
             general._bernstein_basis(8, scan))
         assert angles.size >= above.size
         assert np.array_equal(
@@ -405,7 +401,7 @@ class TestCuttingPlanes:
         interior = general._local_maxima(values)[1:-1].nonzero()[0] + 1
         threshold = float(np.min(values[interior])) - 1e-3
         angles, errors = general._violated_angles(
-            alpha, poly, m, threshold, scan,
+            alpha, poly, threshold, scan,
             general._bernstein_basis(max(n, m), scan))
         assert_polished(alpha, poly, m, scan, values, threshold, angles, errors)
 
@@ -442,7 +438,7 @@ class TestCuttingPlanes:
         for outcome, edge in ((0, 0.0), (m, math.pi / 2)):
             alpha = np.zeros((m + 1, n + 1))
             alpha[outcome] = 1.0
-            angles, errors = general._violated_angles(alpha, poly, m, 1.0,
+            angles, errors = general._violated_angles(alpha, poly, 1.0,
                                                       scan, basis)
             assert edge in angles.tolist()
             assert errors[angles == edge] == pytest.approx([2.0], abs=1e-14)
@@ -485,7 +481,7 @@ class TestCuttingPlanes:
             return angle_table(*args)
 
         monkeypatch.setattr(general, "_angle_table", counting)
-        angles, _ = general._violated_angles(alpha, inst.poly, 8, 0.0,
+        angles, _ = general._violated_angles(alpha, inst.poly, 0.0,
                                              scan, basis)
         assert angles.size >= 1
         assert len(built) <= 1
@@ -506,7 +502,7 @@ class TestCuttingPlanes:
 def linprog_oracle(inst, grid):
     """The grid LP in linprog's form: one-sided rows as A_ub, the column
     sums as A_eq, bounds as a list; returns alpha and t."""
-    m, n = inst.m, inst.n
+    m, n = inst.m, inst.poly.shape[1] - 1
     n_alpha = (m + 1) * (n + 1)
     n_var = n_alpha + (m + 1) * grid.size + 1
     table = general._angle_table(inst.poly, m, grid)
@@ -673,7 +669,7 @@ class TestDenseLP:
         for _ in range(10):
             steps = rng.choice([-2, -1, 1, 2], size=inst.poly.shape)
             poly = inst.poly + (inst.poly != 0) * steps * np.spacing(inst.poly)
-            family.append(general.GeneralInstance(2, 4, 64, inst.gamma_grid, poly))
+            family.append(general.GeneralInstance(2, 64, inst.gamma_grid, poly))
         assert statistics.median(self.pivots(monkeypatch, family)) <= 859
 
     def test_cuts_per_step_are_capped(self, monkeypatch):
@@ -871,7 +867,7 @@ class TestErrorPolynomials:
         rng = np.random.default_rng(10 * n + m)
         for _ in range(3):
             alpha = random_coefficients(m, n, rng).alpha
-            coef = general._error_coefficients(alpha, poly, m)
+            coef = general._error_coefficients(alpha, poly)
             assert coef.shape == (max(n, m) + 1, m + 1)
             basis = general._bernstein_basis(max(n, m), gammas)
             errors = np.abs(coef.T @ basis).sum(axis=0)
@@ -918,25 +914,22 @@ class TestErrorPolynomials:
 class TestCoefficientMatrix:
     def test_rejects_bad_column_sum(self):
         with pytest.raises(ValueError, match="column sums"):
-            general.CoefficientMatrix(m=1, n=1,
-                                      alpha=np.array([[0.5, 0.5], [0.4, 0.5]]))
+            general.CoefficientMatrix(alpha=np.array([[0.5, 0.5], [0.4, 0.5]]))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="entries"):
-            general.CoefficientMatrix(m=1, n=1,
-                                      alpha=np.array([[1.1, 0.5], [-0.1, 0.5]]))
+            general.CoefficientMatrix(alpha=np.array([[1.1, 0.5], [-0.1, 0.5]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="entries"):
-            general.CoefficientMatrix(m=1, n=1, alpha=np.full((2, 2), bad))
+            general.CoefficientMatrix(alpha=np.full((2, 2), bad))
         with pytest.raises(ValueError, match="entries"):
-            general.CoefficientMatrix(m=1, n=1,
-                                      alpha=np.array([[bad, 0.5], [0.0, 0.5]]))
+            general.CoefficientMatrix(alpha=np.array([[bad, 0.5], [0.0, 0.5]]))
 
     def test_keeps_its_own_copy(self):
         a = np.eye(2)
-        coeffs = general.CoefficientMatrix(m=1, n=1, alpha=a)
+        coeffs = general.CoefficientMatrix(alpha=a)
         assert a.flags.writeable
         a[0, 0] = 0.25
         assert coeffs.alpha[0, 0] == 1.0
@@ -944,7 +937,7 @@ class TestCoefficientMatrix:
             coeffs.alpha[0, 0] = 0.5
 
     def test_marginal_requires_two_samples(self):
-        coeffs = general.CoefficientMatrix(m=1, n=1, alpha=np.eye(2))
+        coeffs = general.CoefficientMatrix(alpha=np.eye(2))
         with pytest.raises(ValueError, match="m >= 2"):
             oracle.first_sample_marginal(coeffs)
 
@@ -953,7 +946,7 @@ class TestInstanceValidation:
     def test_instance_keeps_its_own_arrays(self):
         grid = np.linspace(0.0, math.pi / 2, 9)
         poly = general._exact_block_weights(2).copy()
-        inst = general.GeneralInstance(2, 2, 1, grid, poly)
+        inst = general.GeneralInstance(2, 1, grid, poly)
         assert grid.flags.writeable and poly.flags.writeable
         grid[0], poly[0, 0] = 1.0, 2.0
         assert inst.gamma_grid[0] == 0.0
@@ -1000,3 +993,96 @@ class TestInstanceValidation:
         p = general._angle_table(np.ones((1, 1)), inst.m, inst.gamma_grid).target
         assert np.all(np.isfinite(p))
         assert np.allclose(p.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("poly,grid", [
+        ([[1.5, 1.0], [-0.5, 0.0]], None),                # a negative entry
+        ([[0.5, 1.0], [0.5 + 1e-9, 0.0]], None),          # a column sum 1 + 1e-9
+        ([0.5, 0.5], None),                               # 1-D
+        (None, [0.3]),                                    # one angle
+        (None, [0.0, 0.7, 0.5]),                          # decreasing
+        (None, [0.0, math.nan, 1.0]),                     # NaN angle
+        (None, [0.0, 1.0, math.pi / 2 + 1e-9]),           # beyond pi/2
+    ])
+    def test_rejects_malformed_arrays(self, poly, grid):
+        poly = general._exact_block_weights(1) if poly is None else np.array(poly)
+        grid = np.linspace(0.0, 1.0, 5) if grid is None else np.array(grid)
+        with pytest.raises(ValueError):
+            general.GeneralInstance(2, 1, grid, poly)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(0, 4), st.integers(1, 5),
+           st.integers(0, 2 ** 32 - 1), st.floats(0.0, math.pi / 2 - 0.01),
+           st.floats(0.01, math.pi / 2), st.integers(2, 65))
+    def test_solves_any_family_on_any_span(self, blocks, degree, m, seed, lo,
+                                           width, points):
+        # Dirichlet columns are distributions over the blocks, so poly is
+        # column-stochastic
+        rng = np.random.default_rng(seed)
+        poly = rng.dirichlet(np.ones(blocks), size=degree + 1).T
+        grid = np.linspace(lo, min(lo + width, math.pi / 2), points)
+        inst = general.GeneralInstance(2, m, grid, poly)
+        coeffs, value = general.solve_minimax(inst)
+        assert coeffs.alpha.shape == (m + 1, blocks)
+        assert float(np.max(general.error_profile(inst, coeffs))) <= value
+
+
+def swap_test_weights(n):
+    """Bernstein coefficients in x of the number j of passes of n
+    independent swap tests, Binomial(n, (1 + x) / 2): row j, column k holds
+    C(n, j) C(j, k) / (C(n, k) 2^(n-k)) for k <= j."""
+    return np.array([[math.comb(n, j) * math.comb(j, k)
+                      / (math.comb(n, k) * 2 ** (n - k)) if k <= j else 0.0
+                      for k in range(n + 1)] for j in range(n + 1)])
+
+
+class TestOtherFamilies:
+    """Instances built directly from block weights and a grid: any
+    column-stochastic family on any increasing grid inside [0, pi/2]."""
+
+    FULL = np.linspace(0.0, math.pi / 2, 129)
+
+    @pytest.mark.parametrize("n,m,per_outcome", [
+        (1, 1, 0.3333), (2, 1, 0.2000), (4, 1, 0.1111), (4, 4, 0.3384)])
+    def test_independent_swap_tests(self, n, m, per_outcome):
+        # separate swap tests on n copy pairs (Buhrman, Cleve, Watrous &
+        # de Wolf, PRL 87:167902, 2001) against the binomial target
+        poly = swap_test_weights(n)
+        gammas = np.array([0.0, 0.4, 1.1, math.pi / 2])
+        passes = (1.0 + np.cos(gammas) ** 2) / 2
+        direct = np.array([[math.comb(n, j) * p ** j * (1 - p) ** (n - j)
+                            for j in range(n + 1)] for p in passes])
+        table = general._angle_table(poly, m, gammas)
+        assert np.max(np.abs(table.beta - direct)) < 1e-15
+        coeffs, value = general.solve_minimax(
+            general.GeneralInstance(2, m, self.FULL, poly))
+        assert coeffs.alpha.shape == (m + 1, n + 1)
+        assert value / 2 == pytest.approx(per_outcome, abs=1e-4)
+
+    @pytest.mark.parametrize("n2", [1, 2, 3, 5])
+    def test_one_copy_against_many(self, n2):
+        # one copy of the first state and n2 of the second: the symmetric
+        # block of C^2 (x) Sym^n2 has weight (1 + n2 x) / (n2 + 1)
+        poly = np.array([[1 / (n2 + 1), 1.0], [n2 / (n2 + 1), 0.0]])
+        _, value = general.solve_minimax(
+            general.GeneralInstance(2, 1, self.FULL, poly))
+        assert value / 2 == pytest.approx(1 / (n2 + 2), abs=1e-12)
+
+    def test_overlap_promise_is_scanned_alone(self, monkeypatch):
+        # a grid cut to x = cos^2 gamma >= 0.1: the scan and the polish stay
+        # inside it, and the value falls from the 0.01953 per outcome of the
+        # whole range at (8, 1)
+        grid = np.linspace(0.0, math.acos(math.sqrt(0.1)), 129)
+        evaluated = []
+        basis = general._bernstein_basis
+
+        def recording(deg, gammas):
+            evaluated.append(np.array(gammas))
+            return basis(deg, gammas)
+
+        monkeypatch.setattr(general, "_bernstein_basis", recording)
+        inst = general.GeneralInstance(2, 1, grid, general._exact_block_weights(8))
+        coeffs, value = general.solve_minimax(inst)
+        assert 2.7e-3 <= value / 2 <= 2.9e-3 and value / 2 < 0.01953
+        angles = np.concatenate(evaluated)
+        assert grid[0] <= angles.min() and angles.max() <= grid[-1]
+        assert float(np.max(general.error_profile(inst, coeffs))) <= value

@@ -246,8 +246,21 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             qcore.matrix_from_json(obj)
 
+    def test_rejects_more_entries_than_the_limit(self):
+        wide = np.zeros((1, qcore.MAX_MATRIX_ENTRIES + 1))
+        with pytest.raises(ValueError, match="limit"):
+            qcore.matrix_to_json(wide)
+        # the entry count is refused before any entry is read
+        with pytest.raises(ValueError, match="limit"):
+            qcore.matrix_from_json({"rows": 1, "cols": wide.size, "entries": None})
+        square = np.eye(256, dtype=complex)
+        assert np.array_equal(
+            qcore.matrix_from_json(qcore.matrix_to_json(square)), square)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(JSON_VALUES | matrix_documents())
+    @given(JSON_VALUES | matrix_documents() | st.fixed_dictionaries(
+        {"rows": st.integers(1, 2 ** 40), "cols": st.integers(1, 2 ** 40),
+         "entries": JSON_VALUES}))
     def test_any_json_value_parses_or_raises_value_error(self, obj):
         try:
             a = qcore.matrix_from_json(obj)
